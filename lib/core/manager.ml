@@ -373,21 +373,29 @@ let explain_nth flight_log n =
         (if !flight_log = [] then "no flight records"
          else Printf.sprintf "no flight record %d" n)
 
-let spawn_ctl kernel proc ~ctl_path ~ctl_pending ~ctl_result ~ctl_sem ~stats ~explain ~policy
-    ~checkpoint =
+let stats_text (m : t) () =
+  Metrics.set m.mset.m_processes (List.length (images m));
+  Metrics.render (Metrics.snapshot m.metrics)
+
+let ctl_sem_of proc = Printf.sprintf "mcr.ctl.done.%d" (K.pid proc)
+
+(* Spawn [m]'s controller thread: it serves the control socket for as long
+   as [m]'s root process lives. *)
+let start_ctl (m : t) =
+  let live () = images m in
   let dispatch ~versioned cmd =
     let has_prefix p =
       String.length cmd >= String.length p && String.sub cmd 0 (String.length p) = p
     in
     if has_prefix "UPDATE" then begin
-      ctl_pending := true;
-      ignore (K.syscall (S.Sem_wait { name = ctl_sem; timeout_ns = None }));
-      if versioned then !ctl_result else Frame.legacy_update_frame !ctl_result
+      m.ctl_pending := true;
+      ignore (K.syscall (S.Sem_wait { name = m.ctl_sem; timeout_ns = None }));
+      if versioned then !(m.ctl_result) else Frame.legacy_update_frame !(m.ctl_result)
     end
     else if has_prefix "STATS" then
       (* metrics snapshots are cheap and never block on the update
          semaphore: reply immediately *)
-      if versioned then Frame.ok_payload (stats ()) else stats ()
+      if versioned then Frame.ok_payload (stats_text m ()) else stats_text m ()
     else if has_prefix "EXPLAIN" then begin
       let arg = String.trim (String.sub cmd 7 (String.length cmd - 7)) in
       let nth =
@@ -399,65 +407,27 @@ let spawn_ctl kernel proc ~ctl_path ~ctl_pending ~ctl_result ~ctl_sem ~stats ~ex
       match nth with
       | None -> if versioned then Frame.err "usage: EXPLAIN [LAST|<n>]" else "ERR"
       | Some n -> (
-          match explain n with
+          match explain_nth m.flight_log n with
           | Ok json ->
               (* legacy connections get the raw payload, like legacy STATS *)
               if versioned then Frame.ok_payload json else json
           | Error e -> if versioned then Frame.err e else "ERR")
     end
     else begin
-      match checkpoint cmd with
+      match checkpoint_command ~live ~policy:m.policy cmd with
       | Some (Ok v) -> if versioned then Frame.ok_inline v else "OK"
       | Some (Error e) -> if versioned then Frame.err e else "ERR"
       | None -> (
-          match policy_command policy cmd with
+          match policy_command m.policy cmd with
           | Some r -> r
           | None -> if versioned then "ERR unknown command" else "ERR")
     end
   in
-  Ctl_server.spawn kernel proc ~path:ctl_path ~dispatch ()
+  (* Ctl_server.spawn unlinks a stale socket name before binding *)
+  Ctl_server.spawn m.kernel m.root_proc ~path:m.ctl_path ~dispatch ()
 
 (* ------------------------------------------------------------------ *)
 (* Launch *)
-
-let stats_text ~metrics ~mset ~live () =
-  Metrics.set mset.m_processes (List.length (live ()));
-  Metrics.render (Metrics.snapshot metrics)
-
-let make_manager kernel instr prog_version root_proc root_image members log_source ~trace
-    ~metrics ~policy =
-  let mset = make_mset metrics in
-  let ctl_path = "/run/mcr/" ^ prog_version.P.prog ^ ".sock" in
-  let ctl_pending = ref false in
-  let ctl_result = ref "" in
-  let ctl_sem = Printf.sprintf "mcr.ctl.done.%d" (K.pid root_proc) in
-  let flight_log = ref [] in
-  let flight_seq = ref 0 in
-  let live () = List.filter (fun (im : P.image) -> K.alive im.P.i_proc) !members in
-  (* Ctl_server.spawn unlinks a stale socket name before binding *)
-  spawn_ctl kernel root_proc ~ctl_path ~ctl_pending ~ctl_result ~ctl_sem
-    ~stats:(stats_text ~metrics ~mset ~live)
-    ~explain:(explain_nth flight_log) ~policy
-    ~checkpoint:(checkpoint_command ~live ~policy);
-  {
-    kernel;
-    instr;
-    prog_version;
-    root_proc;
-    root_image;
-    members;
-    log_source;
-    ctl_path;
-    ctl_pending;
-    ctl_result;
-    ctl_sem;
-    trace;
-    metrics;
-    mset;
-    policy;
-    flight_log;
-    flight_seq;
-  }
 
 let launch kernel ?(instr = Instr.full) ?profiler ?trace ?policy prog_version =
   let members = ref [] in
@@ -471,9 +441,30 @@ let launch kernel ?(instr = Instr.full) ?profiler ?trace ?policy prog_version =
     match !image_slot with Some i -> i | None -> invalid_arg "Manager.launch: no image"
   in
   let recorder = Record.start kernel image in
-  let base = Option.value policy ~default:Policy.default in
-  make_manager kernel instr prog_version proc image members (Recorder recorder) ~trace
-    ~metrics:(Metrics.create ()) ~policy:(ref base)
+  let metrics = Metrics.create () in
+  let m =
+    {
+      kernel;
+      instr;
+      prog_version;
+      root_proc = proc;
+      root_image = image;
+      members;
+      log_source = Recorder recorder;
+      ctl_path = "/run/mcr/" ^ prog_version.P.prog ^ ".sock";
+      ctl_pending = ref false;
+      ctl_result = ref "";
+      ctl_sem = ctl_sem_of proc;
+      trace;
+      metrics;
+      mset = make_mset metrics;
+      policy = ref (Option.value policy ~default:Policy.default);
+      flight_log = ref [];
+      flight_seq = ref 0;
+    }
+  in
+  start_ctl m;
+  m
 
 let wait_startup t ?(max_ns = 10_000_000_000) () =
   K.run_until t.kernel
@@ -641,454 +632,262 @@ let respond_ctl t result =
 let reinit_ctx (im : P.image) th =
   { P.kernel = im.P.i_kernel; thread = th; proc = im.P.i_proc; image = im }
 
-(* The whole pipeline in one pass. Without pre-copy the stage order is the
-   paper's checkpoint/restart/restore: quiesce -> restart+replay ->
-   transfer -> commit, and the service-interruption window is the whole
-   update. With [pol.precopy] the old version keeps serving while the new
-   version starts up and delta rounds speculatively stage the reachable
-   graph; only then does quiescence open the window, so downtime is the
-   final delta, not the bulk transfer. *)
-let update_once t ~(pol : Policy.t) ?(attempt = 0) ?(prior = []) ?fault ?on_precopy_round
-    new_version =
-  let k = t.kernel in
-  let t0 = K.clock_ns k in
-  let tr = t.trace in
-  (match fault with Some f -> Fault.set_trace f tr | None -> ());
-  let mpid = K.pid t.root_proc in
-  let dirty_only = pol.Policy.dirty_only in
-  let workers = pol.Policy.transfer_workers in
-  let quiesce_deadline_ns = pol.Policy.quiesce_deadline_ns in
-  let update_deadline_ns = pol.Policy.update_deadline_ns in
-  let precopy_enabled = pol.Policy.precopy in
+(* The new version, once an attempt has launched it: a rollback kills it, a
+   commit returns [mgr]. *)
+type next = {
+  mgr : t;
+  rep : Replayer.t;
+  logs : Logdefs.plog list;  (* the old version's startup logs it replayed *)
+  in_update : bool ref;  (* children it forks get startup barriers until the end *)
+}
+
+(* One update attempt, threaded through the stage functions below. Each
+   in-window attribution segment is measured where it elapses, so the
+   segments summing to downtime_ns is a real cross-check (property-tested
+   to hold exactly on every pipeline path), not an identity. Recording
+   never touches the clock. *)
+type attempt = {
+  t : t;  (* the manager being updated *)
+  pol : Policy.t;
+  fault : Fault.t option;
+  target : P.version;
+  index : int;
+  prior : Flight.record list;
+  t0 : int;
   (* The service-interruption window opens when quiescence is requested:
      immediately for single-shot updates, only after the pre-copy rounds
      otherwise. Failures before the window opens cost zero downtime. *)
-  let window_start = ref (if precopy_enabled then None else Some t0) in
-  let downtime_ns () =
-    match !window_start with Some w -> K.clock_ns k - w | None -> 0
-  in
-  let precopy_rounds_done = ref 0 in
-  let precopy_bytes_staged = ref 0 in
-  (* ---- in-flight request parking. Listeners are parked (new connections
-     queue kernel-side instead of getting ECONNREFUSED) just before the
-     window opens, the old version gets a bounded drain to finish requests
-     it already accepted, and whichever version survives the attempt
-     unparks — listener descriptors are shared across versions, so the
-     parked queue drains into the survivor's accept backlog. ---- *)
-  let parking_enabled = pol.Policy.request_parking in
-  let pstats0 = K.parking_stats k in
-  let parked_engaged = ref false in
-  let member_procs imgs = List.map (fun (im : P.image) -> im.P.i_proc) imgs in
-  let park_members () =
-    if parking_enabled then begin
-      let n =
-        List.fold_left
-          (fun acc p -> acc + K.park_listeners k p)
-          0
-          (member_procs (images t))
-      in
-      parked_engaged := true;
-      Trace.instant tr ~pid:mpid ~cat:"stage"
-        ~args:[ ("listeners", string_of_int n) ]
-        "park";
-      if pol.Policy.drain_ns > 0 then K.run_for k pol.Policy.drain_ns
-    end
-  in
-  let unpark_members imgs =
-    if !parked_engaged then begin
-      let n =
-        List.fold_left (fun acc p -> acc + K.unpark_listeners k p) 0 (member_procs imgs)
-      in
-      parked_engaged := false;
-      Trace.instant tr ~pid:mpid ~cat:"stage"
-        ~args:[ ("resumed", string_of_int n) ]
-        "unpark"
-    end
-  in
-  (* this attempt's conservation ledger entry, folded into the metrics and
-     the report on every exit path *)
-  let note_parking () =
-    let s = K.parking_stats k in
-    let pk = s.K.parked - pstats0.K.parked in
-    let rs = s.K.resumed - pstats0.K.resumed in
-    let ab = s.K.aborted - pstats0.K.aborted in
-    Metrics.incr ~by:pk t.mset.m_parked;
-    Metrics.incr ~by:rs t.mset.m_resumed;
-    Metrics.incr ~by:ab t.mset.m_aborted;
-    (pk, rs, ab)
-  in
-  let client_latency () =
-    Option.map Metrics.hist_snapshot_summary
-      (Metrics.find_histogram (Metrics.snapshot t.metrics) "mcr_request_latency_ns")
-  in
-  let note_rollback reason =
-    Metrics.incr t.mset.m_rollbacks;
-    Metrics.incr (Metrics.counter t.metrics (Err.metric_name reason))
-  in
-  let observe_end () =
-    Metrics.observe t.mset.m_total_h (K.clock_ns k - t0);
-    Metrics.observe t.mset.m_downtime_h (downtime_ns ());
-    Metrics.observe t.mset.m_precopy_rounds_h !precopy_rounds_done;
-    if !precopy_bytes_staged > 0 then
-      Metrics.incr ~by:!precopy_bytes_staged t.mset.m_precopy_bytes
-  in
-  let deadline_exceeded () =
-    match update_deadline_ns with Some d -> K.clock_ns k - t0 >= d | None -> false
-  in
-  (* ---- flight recorder accumulators. Each in-window segment is measured
-     independently, at the point it elapses, so the components summing to
-     downtime_ns is a real cross-check (property-tested to hold exactly on
-     every pipeline path), not an identity. Recording itself never touches
-     the clock. ---- *)
+  mutable window_start : int option;
+  mutable quiesce_ns : int;
+  mutable control_migration_ns : int;
+  mutable state_transfer_ns : int;
+  mutable precopy_rounds : int;
+  mutable precopy_bytes : int;
+  parking0 : K.parking_stats;
+  mutable listeners_parked : bool;
   (* persistent checkpoint image of the old version, snapped at its
      quiescent point when the policy asks for one; the flight record is
-     attached and the file written once the attempt completes, success or
+     attached and the file written once the attempt ends, success or
      rollback (a rolled-back attempt's image is exactly what
      [mcr-postmortem --replay] feeds on) *)
-  let captured_image = ref None in
-  let fb_quiesce = ref 0 in
-  let fb_restart = ref 0 in
-  let fb_trace = ref 0 in
-  let fb_copy = ref 0 in
-  let fb_spawn_join = ref 0 in
-  let fb_relink = ref 0 in
-  let fb_channel = ref 0 in
-  let fb_handlers = ref 0 in
-  let fb_rounds = ref [] in
+  mutable image : Image.t option;
+  mutable attr : Flight.attribution;  (* teardown is filled in by [finish] *)
+  mutable rounds : Flight.round list;  (* newest first *)
   (* word counters, not durations: never part of the attribution sum *)
-  let fb_remapped_words = ref 0 in
-  let fb_skipped_clean_words = ref 0 in
-  (* set on entry to every exit path (commit, rollback, pre-restart
-     failure); the tail from there to the record build — ctl reply
-     delivery, kills, releases — is the teardown segment *)
-  let teardown_from = ref t0 in
-  let explain reason ~stage =
-    Some
-      {
-        Flight.e_reason = Err.to_string reason;
-        e_stage = stage;
-        e_conflicts =
-          List.map
-            (fun (c : Err.conflict_obj) ->
-              {
-                Flight.c_kind = c.Err.co_kind;
-                c_addr = c.Err.co_addr;
-                c_ty = c.Err.co_ty;
-                c_callstack = c.Err.co_callstack;
-                c_shard = c.Err.co_shard;
-                c_round = c.Err.co_round;
-                c_detail = c.Err.co_detail;
-              })
-            (Err.conflict_objs reason);
-        e_fault =
-          (match fault with
-          | Some f -> (
-              match Fault.fired f with
-              | [] -> None
-              | fired -> Some (String.concat "," fired))
-          | None -> None);
-      }
-  in
-  let build_flight ~success ~explanation =
-    let seq = !(t.flight_seq) + 1 in
-    t.flight_seq := seq;
-    let teardown =
-      match !window_start with Some _ -> K.clock_ns k - !teardown_from | None -> 0
+  mutable remapped_words : int;
+  mutable skipped_clean_words : int;
+  (* set on entry to either exit; the tail from there to the record build
+     — ctl reply delivery, kills, releases — is the teardown segment *)
+  mutable teardown_from : int;
+  sessions : (Logdefs.proc_key, Transfer.precopy) Hashtbl.t;
+  mutable transfers : (Logdefs.proc_key * Transfer.outcome) list;  (* newest first *)
+  mutable transfer_conflicts : Transfer.conflict list;  (* newest first *)
+  mutable next : next option;
+}
+
+let now st = K.clock_ns st.t.kernel
+let stage_begin ?args st name =
+  Trace.span_begin st.t.trace ~pid:(K.pid st.t.root_proc) ~cat:"stage" ?args name
+
+let stage_end ?args st name =
+  Trace.span_end st.t.trace ~pid:(K.pid st.t.root_proc) ~cat:"stage" ?args name
+
+let stage_instant ?args st name =
+  Trace.instant st.t.trace ~pid:(K.pid st.t.root_proc) ~cat:"stage" ?args name
+
+let downtime_ns st = match st.window_start with Some w -> now st - w | None -> 0
+
+let deadline_exceeded st =
+  match st.pol.Policy.update_deadline_ns with Some d -> now st - st.t0 >= d | None -> false
+
+let set_refusals imgs f =
+  List.iter (fun (im : P.image) -> Barrier.set_refusal im.P.i_barrier f) imgs
+
+(* In-flight request parking. Listeners are parked (new connections queue
+   kernel-side instead of getting ECONNREFUSED) just before the window
+   opens, the old version gets a bounded drain to finish requests it
+   already accepted, and whichever version survives the attempt unparks —
+   listener descriptors are shared across versions, so the parked queue
+   drains into the survivor's accept backlog. *)
+let park st =
+  if st.pol.Policy.request_parking then begin
+    let k = st.t.kernel in
+    let n =
+      List.fold_left (fun acc (im : P.image) -> acc + K.park_listeners k im.P.i_proc) 0
+        (images st.t)
     in
-    let total_ns = K.clock_ns k - t0 in
-    let dt = downtime_ns () in
-    let slo =
-      match (pol.Policy.slo_downtime_ns, pol.Policy.slo_total_ns) with
-      | None, None -> None
-      | d, u ->
-          Some
-            {
-              Flight.s_downtime_budget_ns = d;
-              s_total_budget_ns = u;
-              s_downtime_ok = (match d with Some b -> dt <= b | None -> true);
-              s_total_ok = (match u with Some b -> total_ns <= b | None -> true);
-            }
+    st.listeners_parked <- true;
+    stage_instant st ~args:[ ("listeners", string_of_int n) ] "park";
+    if st.pol.Policy.drain_ns > 0 then K.run_for k st.pol.Policy.drain_ns
+  end
+
+(* Unpark into the survivor [imgs]; returns the attempt's conservation
+   ledger entry (parked, resumed, aborted), folded into the metrics here and
+   into the report by [finish]. *)
+let unpark st imgs =
+  let k = st.t.kernel and mset = st.t.mset in
+  if st.listeners_parked then begin
+    let n =
+      List.fold_left (fun acc (im : P.image) -> acc + K.unpark_listeners k im.P.i_proc) 0 imgs
     in
-    (match slo with
-    | Some s when Flight.slo_violated s -> Metrics.incr t.mset.m_slo_violations
-    | _ -> ());
-    let record =
-      {
-        Flight.f_seq = seq;
-        f_attempt = attempt;
-        f_prog = t.prog_version.P.prog;
-        f_from = t.prog_version.P.version_tag;
-        f_to = new_version.P.version_tag;
-        f_success = success;
-        f_start_ns = t0;
-        f_total_ns = total_ns;
-        f_downtime_ns = dt;
-        f_precopy = precopy_enabled;
-        f_workers = workers;
-        f_remapped_words = !fb_remapped_words;
-        f_skipped_clean_words = !fb_skipped_clean_words;
-        f_rounds = List.rev !fb_rounds;
-        f_attribution =
+    st.listeners_parked <- false;
+    stage_instant st ~args:[ ("resumed", string_of_int n) ] "unpark"
+  end;
+  let s = K.parking_stats k and s0 = st.parking0 in
+  let pk = s.K.parked - s0.K.parked
+  and rs = s.K.resumed - s0.K.resumed
+  and ab = s.K.aborted - s0.K.aborted in
+  Metrics.incr ~by:pk mset.m_parked;
+  Metrics.incr ~by:rs mset.m_resumed;
+  Metrics.incr ~by:ab mset.m_aborted;
+  (pk, rs, ab)
+
+let explain st (reason, stage) =
+  {
+    Flight.e_reason = Err.to_string reason;
+    e_stage = stage;
+    e_conflicts =
+      List.map
+        (fun (c : Err.conflict_obj) ->
           {
-            Flight.a_quiesce_ns = !fb_quiesce;
-            a_restart_ns = !fb_restart;
-            a_trace_ns = !fb_trace;
-            a_copy_ns = !fb_copy;
-            a_spawn_join_ns = !fb_spawn_join;
-            a_relink_ns = !fb_relink;
-            a_channel_ns = !fb_channel;
-            a_handlers_ns = !fb_handlers;
-            a_teardown_ns = teardown;
-          };
-        f_slo = slo;
-        f_explanation = explanation;
-        f_prior = prior;
-      }
-    in
-    let kept = List.filteri (fun i _ -> i < 31) !(t.flight_log) in
-    t.flight_log := record :: kept;
-    (match (pol.Policy.image_dir, !captured_image) with
-    | Some dir, Some img -> (
-        let img = Image.with_flight_json img (Flight.to_json record) in
-        let sanitize c =
-          match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '-' | '_' -> c | _ -> '-'
-        in
-        let base = String.map sanitize t.prog_version.P.prog in
-        let path = Filename.concat dir (Printf.sprintf "%s-update-%d.mcrimg" base seq) in
-        match Image.write img ~path with
-        | Ok () -> Trace.instant tr ~pid:mpid ~cat:"stage" ~args:[ ("path", path) ] "image.write"
-        | Error e ->
-            Logs.warn (fun m ->
-                m "checkpoint image write to %s failed: %s" path (Image.error_to_string e)))
-    | _ -> ());
-    record
+            Flight.c_kind = c.Err.co_kind;
+            c_addr = c.Err.co_addr;
+            c_ty = c.Err.co_ty;
+            c_callstack = c.Err.co_callstack;
+            c_shard = c.Err.co_shard;
+            c_round = c.Err.co_round;
+            c_detail = c.Err.co_detail;
+          })
+        (Err.conflict_objs reason);
+    e_fault =
+      (match Option.map Fault.fired st.fault with
+      | None | Some [] -> None
+      | Some fired -> Some (String.concat "," fired));
+  }
+
+let write_image st ~dir (record : Flight.record) img =
+  let sanitize c =
+    match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '-' | '_' -> c | _ -> '-'
   in
-  Metrics.incr t.mset.m_updates;
-  Trace.span_begin tr ~pid:mpid ~cat:"stage"
-    ~args:
-      [ ("from", t.prog_version.P.version_tag); ("to", new_version.P.version_tag);
-        ("prog", t.prog_version.P.prog) ]
-    "update";
-  let fail_before_restart ~stage reason =
-    teardown_from := K.clock_ns k;
-    let reason_s = Err.to_string reason in
-    release_all t;
-    unpark_members (images t);
-    let parked_requests, resumed_requests, aborted_requests = note_parking () in
-    respond_ctl t ("ERR " ^ reason_s);
-    note_rollback reason;
-    observe_end ();
-    Trace.instant tr ~pid:mpid ~cat:"stage" ~args:[ ("reason", reason_s) ] "update.fail";
-    Trace.span_end tr ~pid:mpid ~cat:"stage" "update";
-    let flight = build_flight ~success:false ~explanation:(explain reason ~stage) in
-    ( t,
-      {
-        success = false;
-        quiesce_ns = K.clock_ns k - t0;
-        control_migration_ns = 0;
-        state_transfer_ns = 0;
-        total_ns = K.clock_ns k - t0;
-        downtime_ns = downtime_ns ();
-        precopy_rounds = !precopy_rounds_done;
-        precopy_bytes = !precopy_bytes_staged;
-        replayed_calls = 0;
-        live_calls = 0;
-        replay_conflicts = [];
-        transfer_conflicts = [];
-        transfers = [];
-        failure = Some reason;
-        metrics = metrics_snapshot t;
-        flight;
-        parked_requests;
-        resumed_requests;
-        aborted_requests;
-        client_latency = client_latency ();
-      } )
+  let base = String.map sanitize st.t.prog_version.P.prog in
+  let path =
+    Filename.concat dir (Printf.sprintf "%s-update-%d.mcrimg" base record.Flight.f_seq)
   in
-  (* a manager whose processes are gone (already updated away from, or
-     crashed) cannot be updated *)
-  if images t = [] then fail_before_restart ~stage:"init" Err.Program_not_running
-  else begin
-  let set_refusals imgs f =
-    List.iter (fun (im : P.image) -> Barrier.set_refusal im.P.i_barrier f) imgs
+  match Image.write (Image.with_flight_json img (Flight.to_json record)) ~path with
+  | Ok () -> stage_instant st ~args:[ ("path", path) ] "image.write"
+  | Error e ->
+      Logs.warn (fun m ->
+          m "checkpoint image write to %s failed: %s" path (Image.error_to_string e))
+
+(* The one exit tail, shared by commit and rollback: fold the attempt into
+   the metrics, build its flight record (ring, optional image file) and its
+   report. [owner] is the manager handed back to the caller. *)
+let finish st ~(owner : t) ~failure ~parking =
+  let t = st.t and mset = st.t.mset and pol = st.pol in
+  let replayed_calls, live_calls, replay_conflicts =
+    match st.next with
+    | Some n -> (Replayer.replayed_calls n.rep, Replayer.live_calls n.rep, Replayer.conflicts n.rep)
+    | None -> (0, 0, [])
   in
-  (* ---- checkpoint: quiesce the running version. Shared by both stage
-     orders; the window opens here. ---- *)
-  let quiesce_ns = ref 0 in
-  let do_quiesce () =
-    Trace.span_begin tr ~pid:mpid ~cat:"stage" "quiesce";
-    (* park first, then drain: new arrivals queue kernel-side while the old
-       version finishes what it already accepted, so the barrier finds the
-       accept loops idle instead of mid-request *)
-    park_members ();
-    (* fault injection: while armed, old-version threads decline the barrier *)
-    (match fault with
-    | Some f when Fault.fires f Fault.Quiesce_refusal ->
-        set_refusals (images t) (Some (fun () -> Fault.fires f Fault.Quiesce_refusal))
-    | _ -> ());
-    let wstart = K.clock_ns k in
-    window_start := Some wstart;
-    request_all t;
-    let quiesce_budget = Option.value quiesce_deadline_ns ~default:5_000_000_000 in
-    let max_ns =
-      match update_deadline_ns with
-      | Some u -> min (wstart + quiesce_budget) (t0 + u)
-      | None -> wstart + quiesce_budget
-    in
-    let quiesce_ok = K.run_until k ~max_ns (fun () -> all_quiesced t) in
-    (match fault with
-    | Some f ->
-        ignore (Fault.consume f Fault.Quiesce_refusal);
-        set_refusals (images t) None
-    | None -> ());
-    Trace.span_end tr ~pid:mpid ~cat:"stage"
-      ~args:[ ("converged", (if quiesce_ok then "yes" else "no")) ]
-      "quiesce";
-    if quiesce_ok then begin
-      quiesce_ns := K.clock_ns k - wstart;
-      Metrics.observe t.mset.m_quiesce_h !quiesce_ns;
-      if pol.Policy.image_dir <> None then
-        captured_image :=
-          Some
-            (Image.capture k ~members:(images t) ~policy_text:(Policy.to_kv pol)
-               ~target_tag:new_version.P.version_tag ())
-    end;
-    (* attribution: all in-window time so far is quiescence wait, converged
-       or not *)
-    fb_quiesce := K.clock_ns k - wstart;
-    quiesce_ok
+  let transfer_conflicts = List.rev st.transfer_conflicts in
+  Metrics.incr ~by:replayed_calls mset.m_replayed;
+  Metrics.incr ~by:live_calls mset.m_live;
+  Metrics.incr ~by:(List.length replay_conflicts) mset.m_replay_conflicts;
+  Metrics.incr ~by:(List.length transfer_conflicts) mset.m_transfer_conflicts;
+  let total_ns = now st - st.t0 and dt = downtime_ns st in
+  Metrics.observe mset.m_total_h total_ns;
+  Metrics.observe mset.m_downtime_h dt;
+  Metrics.observe mset.m_precopy_rounds_h st.precopy_rounds;
+  if st.precopy_bytes > 0 then Metrics.incr ~by:st.precopy_bytes mset.m_precopy_bytes;
+  stage_end st "update";
+  let seq = !(t.flight_seq) + 1 in
+  t.flight_seq := seq;
+  let slo =
+    match (pol.Policy.slo_downtime_ns, pol.Policy.slo_total_ns) with
+    | None, None -> None
+    | d, u ->
+        Some
+          {
+            Flight.s_downtime_budget_ns = d;
+            s_total_budget_ns = u;
+            s_downtime_ok = (match d with Some b -> dt <= b | None -> true);
+            s_total_ok = (match u with Some b -> total_ns <= b | None -> true);
+          }
   in
-  let quiesce_failure_reason () =
-    if deadline_exceeded () then Err.Update_deadline_exceeded
-    else
-      let elapsed =
-        match !window_start with Some w -> K.clock_ns k - w | None -> 0
-      in
-      Barrier.failure_reason
-        ~deadline_hit:
-          (match quiesce_deadline_ns with Some d -> elapsed >= d | None -> false)
+  (match slo with
+  | Some s when Flight.slo_violated s -> Metrics.incr mset.m_slo_violations
+  | _ -> ());
+  let teardown = match st.window_start with Some _ -> now st - st.teardown_from | None -> 0 in
+  let flight =
+    {
+      Flight.f_seq = seq;
+      f_attempt = st.index;
+      f_prog = t.prog_version.P.prog;
+      f_from = t.prog_version.P.version_tag;
+      f_to = st.target.P.version_tag;
+      f_success = failure = None;
+      f_start_ns = st.t0;
+      f_total_ns = total_ns;
+      f_downtime_ns = dt;
+      f_precopy = pol.Policy.precopy;
+      f_workers = pol.Policy.transfer_workers;
+      f_remapped_words = st.remapped_words;
+      f_skipped_clean_words = st.skipped_clean_words;
+      f_rounds = List.rev st.rounds;
+      f_attribution = { st.attr with Flight.a_teardown_ns = teardown };
+      f_slo = slo;
+      f_explanation = Option.map (explain st) failure;
+      f_prior = st.prior;
+    }
   in
-  let pre_quiesce_failed =
-    if precopy_enabled then None
-    else if not (do_quiesce ()) then Some (quiesce_failure_reason ())
-    else if deadline_exceeded () then Some Err.Update_deadline_exceeded
-    else None
-  in
-  match pre_quiesce_failed with
-  | Some reason -> fail_before_restart ~stage:"quiesce" reason
-  | None -> begin
-    let t1 = K.clock_ns k in
-    let logs =
-      match t.log_source with
-      | Recorder r -> Record.logs r
-      | Replayed r -> Replayer.new_logs r
-    in
-    (* global inheritance: every reserved-range descriptor from every old
-       process, deduplicated (separability makes numbers globally unique).
-       Reserved-range descriptors are created during startup, so the set is
-       stable whether or not the old version is still serving (pre-copy). *)
-    let inherited : (int * K.proc) list =
-      List.fold_left
-        (fun acc (im : P.image) ->
-          List.fold_left
-            (fun acc fd ->
-              if fd >= reserved_fd_base && not (List.mem_assoc fd acc) then
-                (fd, im.P.i_proc) :: acc
-              else acc)
-            acc
-            (K.fds im.P.i_proc))
-        [] (images t)
-      |> List.rev
-    in
-    (* ---- restart: launch the new version under replay ---- *)
-    Trace.span_begin tr ~pid:mpid ~cat:"stage" "restart_replay";
-    let new_members = ref [] in
-    let new_root_slot = ref None in
-    let in_update = ref true in
-    (* fault injection: new-version threads decline their startup barrier *)
-    let arm_startup_hang (img : P.image) =
-      match fault with
-      | Some f when Fault.fires f Fault.Startup_hang ->
-          Barrier.set_refusal img.P.i_barrier
-            (Some (fun () -> Fault.fires f Fault.Startup_hang))
-      | _ -> ()
-    in
-    let new_proc =
-      Loader.launch k ~instr:t.instr new_version ~on_image:(fun img ->
-          new_root_slot := Some img;
-          track_members ?trace:tr new_members img;
-          (* reinitiate quiescence detection before startup runs, so the new
-             version is never exposed to external events (Section 5) *)
-          Barrier.request img.P.i_barrier;
-          arm_startup_hang img;
-          img.P.i_child_hooks <-
-            (fun child ->
-              if !in_update then begin
-                Barrier.request child.P.i_barrier;
-                arm_startup_hang child
-              end)
-            :: img.P.i_child_hooks)
-    in
-    let new_root_image = Option.get !new_root_slot in
-    List.iter
-      (fun (fd, src) -> ignore (K.transfer_fd k ~src ~fd ~dst:new_proc ~at:fd))
-      inherited;
-    let rep =
-      Replayer.start k ?trace:tr ?fault new_root_image ~logs
-        ~inherited:(List.map fst inherited)
-    in
-    let old_proc_of_key key =
-      match key with
-      | Logdefs.Root -> Some t.root_proc
-      | _ ->
-          List.find_map
-            (fun (l : Logdefs.plog) ->
-              if l.Logdefs.key = key then K.find_proc k l.Logdefs.pid else None)
-            logs
-    in
-    (* fault injection: syscall-level failures, scoped to new-version
-       processes so the serving old version never sees them *)
-    (match fault with
-    | Some f
-      when List.exists
-             (function Fault.Syscall_failure _ -> true | _ -> false)
-             (Fault.armed f) ->
-        K.set_fault_hook k
-          (Some
-             (fun th call ->
-               let pid = K.pid (K.thread_proc th) in
-               if List.exists (fun (im : P.image) -> K.pid im.P.i_proc = pid) !new_members
-               then Fault.syscall_result f ~call
-               else None))
-    | _ -> ());
-    (* the new version gets its own controller thread; its replayed
-       unix_listen inherits the control socket *)
-    let new_ctl_pending = ref false in
-    let new_ctl_result = ref "" in
-    let new_ctl_sem = Printf.sprintf "mcr.ctl.done.%d" (K.pid new_proc) in
-    let live_new () =
-      List.filter (fun (im : P.image) -> K.alive im.P.i_proc) !new_members
-    in
-    spawn_ctl k new_proc ~ctl_path:t.ctl_path ~ctl_pending:new_ctl_pending
-      ~ctl_result:new_ctl_result ~ctl_sem:new_ctl_sem
-      ~stats:(stats_text ~metrics:t.metrics ~mset:t.mset ~live:live_new)
-      ~explain:(explain_nth t.flight_log) ~policy:t.policy
-      ~checkpoint:(checkpoint_command ~live:live_new ~policy:t.policy);
-    let new_quiesced () =
-      match live_new () with
-      | [] -> false
-      | imgs ->
-          List.for_all
-            (fun (im : P.image) ->
-              im.P.i_startup_complete && Barrier.quiesced im.P.i_barrier)
-            imgs
-    in
-    let rollback reason ~stage ~cm_ns ~st_ns ~transfers ~transfer_conflicts =
-      teardown_from := K.clock_ns k;
-      let reason_s = Err.to_string reason in
-      in_update := false;
-      K.set_fault_hook k None;
-      Trace.span_begin tr ~pid:mpid ~cat:"stage" ~args:[ ("reason", reason_s) ] "rollback";
+  t.flight_log := flight :: List.filteri (fun i _ -> i < 31) !(t.flight_log);
+  (match (pol.Policy.image_dir, st.image) with
+  | Some dir, Some img -> write_image st ~dir flight img
+  | _ -> ());
+  let parked_requests, resumed_requests, aborted_requests = parking in
+  ( owner,
+    {
+      success = failure = None;
+      quiesce_ns = st.quiesce_ns;
+      control_migration_ns = st.control_migration_ns;
+      state_transfer_ns = st.state_transfer_ns;
+      total_ns;
+      downtime_ns = dt;
+      precopy_rounds = st.precopy_rounds;
+      precopy_bytes = st.precopy_bytes;
+      replayed_calls;
+      live_calls;
+      replay_conflicts;
+      transfer_conflicts;
+      transfers = List.rev st.transfers;
+      failure = Option.map fst failure;
+      metrics = metrics_snapshot owner;
+      flight;
+      parked_requests;
+      resumed_requests;
+      aborted_requests;
+      client_latency =
+        Option.map Metrics.hist_snapshot_summary
+          (Metrics.find_histogram (Metrics.snapshot t.metrics) "mcr_request_latency_ns");
+    } )
+
+(* The attempt is over for the new version: its children get no more
+   startup barriers and the syscall fault hook comes off. *)
+let end_update st n =
+  n.in_update := false;
+  K.set_fault_hook st.t.kernel None
+
+(* The one failure exit: the old version resumes and the new one, if it was
+   started, dies. Nothing else was written, so there is nothing else to
+   undo. *)
+let abort st ((reason, _) as failure) =
+  let t = st.t and k = st.t.kernel in
+  st.teardown_from <- now st;
+  let reason_s = Err.to_string reason in
+  Option.iter
+    (fun n ->
+      end_update st n;
+      stage_begin st ~args:[ ("reason", reason_s) ] "rollback";
       List.iter
         (fun (im : P.image) ->
           (* remapped pages in the dying new image may still share frames
@@ -1096,492 +895,584 @@ let update_once t ~(pol : Policy.t) ?(attempt = 0) ?(prior = []) ?fault ?on_prec
              so no shared frame outlives the window *)
           ignore (Aspace.detach_shared im.P.i_aspace);
           if K.alive im.P.i_proc then K.kill_process k im.P.i_proc ~status:1)
-        !new_members;
-      release_all t;
-      unpark_members (images t);
-      let parked_requests, resumed_requests, aborted_requests = note_parking () in
-      respond_ctl t ("ERR " ^ reason_s);
-      note_rollback reason;
-      Metrics.incr ~by:(Replayer.replayed_calls rep) t.mset.m_replayed;
-      Metrics.incr ~by:(Replayer.live_calls rep) t.mset.m_live;
-      Metrics.incr ~by:(List.length (Replayer.conflicts rep)) t.mset.m_replay_conflicts;
-      Metrics.incr ~by:(List.length transfer_conflicts) t.mset.m_transfer_conflicts;
-      observe_end ();
-      Trace.span_end tr ~pid:mpid ~cat:"stage" "rollback";
-      Trace.instant tr ~pid:mpid ~cat:"stage" ~args:[ ("reason", reason_s) ] "update.fail";
-      Trace.span_end tr ~pid:mpid ~cat:"stage" "update";
-      let flight = build_flight ~success:false ~explanation:(explain reason ~stage) in
-      ( t,
-        {
-          success = false;
-          quiesce_ns = !quiesce_ns;
-          control_migration_ns = cm_ns;
-          state_transfer_ns = st_ns;
-          total_ns = K.clock_ns k - t0;
-          downtime_ns = downtime_ns ();
-          precopy_rounds = !precopy_rounds_done;
-          precopy_bytes = !precopy_bytes_staged;
-          replayed_calls = Replayer.replayed_calls rep;
-          live_calls = Replayer.live_calls rep;
-          replay_conflicts = Replayer.conflicts rep;
-          transfer_conflicts;
-          transfers;
-          failure = Some reason;
-          metrics = metrics_snapshot t;
-          flight;
-          parked_requests;
-          resumed_requests;
-          aborted_requests;
-          client_latency = client_latency ();
-        } )
+        !(n.mgr.members))
+    st.next;
+  release_all t;
+  let parking = unpark st (images t) in
+  respond_ctl t ("ERR " ^ reason_s);
+  Metrics.incr t.mset.m_rollbacks;
+  Metrics.incr (Metrics.counter t.metrics (Err.metric_name reason));
+  (match st.next with
+  | Some _ -> stage_end st "rollback"
+  (* before restart the whole attempt was the checkpoint stage *)
+  | None -> st.quiesce_ns <- now st - st.t0);
+  stage_instant st ~args:[ ("reason", reason_s) ] "update.fail";
+  finish st ~owner:t ~failure:(Some failure) ~parking
+
+(* Checkpoint: quiesce the running version. The window opens here. *)
+let quiesce st =
+  let t = st.t and k = st.t.kernel and pol = st.pol in
+  stage_begin st "quiesce";
+  (* park first, then drain: new arrivals queue kernel-side while the old
+     version finishes what it already accepted, so the barrier finds the
+     accept loops idle instead of mid-request *)
+  park st;
+  (* fault injection: while armed, old-version threads decline the barrier *)
+  (match st.fault with
+  | Some f when Fault.fires f Fault.Quiesce_refusal ->
+      set_refusals (images t) (Some (fun () -> Fault.fires f Fault.Quiesce_refusal))
+  | _ -> ());
+  let wstart = K.clock_ns k in
+  st.window_start <- Some wstart;
+  request_all t;
+  let budget = Option.value pol.Policy.quiesce_deadline_ns ~default:5_000_000_000 in
+  let max_ns =
+    match pol.Policy.update_deadline_ns with
+    | Some u -> min (wstart + budget) (st.t0 + u)
+    | None -> wstart + budget
+  in
+  let ok = K.run_until k ~max_ns (fun () -> all_quiesced t) in
+  (match st.fault with
+  | Some f ->
+      ignore (Fault.consume f Fault.Quiesce_refusal);
+      set_refusals (images t) None
+  | None -> ());
+  stage_end st ~args:[ ("converged", if ok then "yes" else "no") ] "quiesce";
+  if ok then begin
+    st.quiesce_ns <- K.clock_ns k - wstart;
+    Metrics.observe t.mset.m_quiesce_h st.quiesce_ns;
+    if pol.Policy.image_dir <> None then
+      st.image <-
+        Some
+          (Image.capture k ~members:(images t) ~policy_text:(Policy.to_kv pol)
+             ~target_tag:st.target.P.version_tag ())
+  end;
+  (* attribution: all in-window time so far is quiescence wait, converged
+     or not *)
+  let waited = K.clock_ns k - wstart in
+  st.attr <- { st.attr with Flight.a_quiesce_ns = waited };
+  if deadline_exceeded st then Error (Err.Update_deadline_exceeded, "quiesce")
+  else if not ok then
+    let deadline_hit =
+      match pol.Policy.quiesce_deadline_ns with Some d -> waited >= d | None -> false
     in
-    (* fault injection: kill the new version mid-startup *)
-    (match fault with
-    | Some f when Fault.consume f Fault.Startup_crash ->
-        ignore (K.run_until k ~max_ns:(K.clock_ns k + 50_000_000) (fun () -> false));
-        if K.alive new_proc then K.kill_process k new_proc ~status:139
-    | _ -> ());
-    let startup_max =
-      let cap = t1 + 10_000_000_000 in
-      match update_deadline_ns with Some d -> min cap (t0 + d) | None -> cap
-    in
-    let startup_ok =
-      K.run_until k ~max_ns:startup_max (fun () ->
-          new_quiesced ()
-          || (not (K.alive new_proc))
-          || Replayer.conflicts rep <> [])
-    in
-    (match fault with
-    | Some f ->
-        ignore (Fault.consume f Fault.Startup_hang);
-        List.iter (fun (im : P.image) -> Barrier.set_refusal im.P.i_barrier None)
-          !new_members
-    | None -> ());
-    let t2 = K.clock_ns k in
-    let cm_ns = t2 - t1 in
-    (* attribution: restart+replay elapses inside the window only for
-       single-shot updates; under pre-copy it runs while the old version
-       still serves *)
-    if not precopy_enabled then fb_restart := cm_ns;
-    Trace.span_end tr ~pid:mpid ~cat:"stage" "restart_replay";
-    Metrics.observe t.mset.m_cm_h cm_ns;
-    if not (K.alive new_proc) then
-      rollback Err.Startup_crashed ~stage:"restart_replay" ~cm_ns ~st_ns:0 ~transfers:[]
-        ~transfer_conflicts:[]
-    else begin
-      match Replayer.rollback_reason rep with
-      | Some reason ->
-          rollback reason ~stage:"restart_replay" ~cm_ns ~st_ns:0 ~transfers:[]
-            ~transfer_conflicts:[]
-      | None ->
-    if deadline_exceeded () then
-      rollback Err.Update_deadline_exceeded ~stage:"restart_replay" ~cm_ns ~st_ns:0
-        ~transfers:[] ~transfer_conflicts:[]
-    else if not (startup_ok && new_quiesced ()) then
-      rollback Err.Startup_not_quiescent ~stage:"restart_replay" ~cm_ns ~st_ns:0
-        ~transfers:[] ~transfer_conflicts:[]
-    else begin
-      (* ---- pre-copy: speculative tracing + staging rounds, old version
-         still serving. Staging is host-side only (no new-version writes),
-         so aborting here needs no undo; each round's speculative copy cost
-         elapses on the clock concurrently with service. ---- *)
-      let sessions : (Logdefs.proc_key, Transfer.precopy) Hashtbl.t = Hashtbl.create 8 in
-      let precopy_epoch = "mcr.precopy" in
-      let precopy_result =
-        if not precopy_enabled then Ok ()
-        else begin
-          Trace.span_begin tr ~pid:mpid ~cat:"stage" "precopy";
-          (* each attempt is a fresh pre-copy session: forget any epoch a
-             previous (rolled-back) attempt left on the old images so round
-             one stages the full copy set and pays full tracing *)
-          List.iter
-            (fun (im : P.image) -> Aspace.epoch_remove im.P.i_aspace ~name:precopy_epoch)
-            (images t);
-          let max_rounds = max 1 pol.Policy.precopy_max_rounds in
-          let threshold = max 0 pol.Policy.precopy_threshold_words in
-          let rec round r =
-            if deadline_exceeded () then Error Err.Update_deadline_exceeded
-            else begin
-              incr precopy_rounds_done;
-              let round_cost = ref 0 in
-              let round_delta = ref 0 in
-              List.iter
-                (fun (key, _new_pid) ->
-                  match old_proc_of_key key with
-                  | Some oldp when K.alive oldp -> begin
-                      match P.image_of_proc oldp with
-                      | Some oi ->
-                          let aspace = oi.P.i_aspace in
-                          let since = Aspace.epoch_find aspace ~name:precopy_epoch in
-                          let analysis = Objgraph.analyze ?trace:tr ?cost_since:since oi in
-                          let session =
-                            match Hashtbl.find_opt sessions key with
-                            | Some s -> s
-                            | None ->
-                                let s = Transfer.precopy_create () in
-                                Hashtbl.replace sessions key s;
-                                s
-                          in
-                          let rs =
-                            Transfer.precopy_round session ~old_image:oi ~analysis ?since
-                              ~dirty_only ~workers ()
-                          in
-                          (* staging is host-side (no program ran), so the
-                             write sequence is unchanged since [since] was
-                             read: resetting now is the same mark *)
-                          Aspace.epoch_reset aspace ~name:precopy_epoch;
-                          (* rounds run per-pair in parallel, like transfers;
-                             within a pair the worker pool shards the round,
-                             so the pair pays its critical path *)
-                          round_cost :=
-                            max !round_cost
-                              (Objgraph.trace_critical_ns analysis ~workers
-                              + rs.Transfer.round_cost_ns);
-                          round_delta := !round_delta + rs.Transfer.round_words;
-                          precopy_bytes_staged :=
-                            !precopy_bytes_staged + (rs.Transfer.round_words * Addr.word_size)
-                      | None -> ()
-                    end
-                  | _ -> ())
-                (Replayer.pairs rep);
-              Trace.instant tr ~pid:mpid ~cat:"stage"
-                ~args:
-                  [ ("round", string_of_int r);
-                    ("delta_words", string_of_int !round_delta);
-                    ("cost_ns", string_of_int !round_cost) ]
-                "precopy.round";
-              fb_rounds :=
-                { Flight.r_words = !round_delta; r_cost_ns = !round_cost } :: !fb_rounds;
-              (* the old version keeps serving while the speculative copy
-                 elapses — this is the whole point *)
-              K.run_for k !round_cost;
-              (match on_precopy_round with Some f -> f r | None -> ());
-              if r >= 2 && !round_delta <= threshold then Ok ()
-              else if r >= max_rounds then begin
-                if max_rounds = 1 || !round_delta <= threshold then Ok ()
-                else Error Err.Precopy_diverged
-              end
-              else round (r + 1)
-            end
+    Error (Barrier.failure_reason ~deadline_hit, "quiesce")
+  else Ok ()
+
+let next_quiesced n =
+  match images n.mgr with
+  | [] -> false
+  | imgs ->
+      List.for_all
+        (fun (im : P.image) -> im.P.i_startup_complete && Barrier.quiesced im.P.i_barrier)
+        imgs
+
+let old_proc_of_key st n key =
+  match key with
+  | Logdefs.Root -> Some st.t.root_proc
+  | _ ->
+      List.find_map
+        (fun (l : Logdefs.plog) ->
+          if l.Logdefs.key = key then K.find_proc st.t.kernel l.Logdefs.pid else None)
+        n.logs
+
+(* Restart: launch the new version under replay, with quiescence
+   pre-requested so it accepts no external events, until it reaches its
+   own quiescent startup point. *)
+let restart_replay st =
+  let t = st.t and k = st.t.kernel and fault = st.fault in
+  let t1 = K.clock_ns k in
+  let logs =
+    match t.log_source with Recorder r -> Record.logs r | Replayed r -> Replayer.new_logs r
+  in
+  (* global inheritance: every reserved-range descriptor from every old
+     process, deduplicated (separability makes numbers globally unique).
+     Reserved-range descriptors are created during startup, so the set is
+     stable whether or not the old version is still serving (pre-copy). *)
+  let inherited : (int * K.proc) list =
+    List.fold_left
+      (fun acc (im : P.image) ->
+        List.fold_left
+          (fun acc fd ->
+            if fd >= reserved_fd_base && not (List.mem_assoc fd acc) then
+              (fd, im.P.i_proc) :: acc
+            else acc)
+          acc (K.fds im.P.i_proc))
+      [] (images t)
+    |> List.rev
+  in
+  stage_begin st "restart_replay";
+  let members = ref [] in
+  let root_slot = ref None in
+  let in_update = ref true in
+  (* fault injection: new-version threads decline their startup barrier *)
+  let arm_startup_hang (img : P.image) =
+    match fault with
+    | Some f when Fault.fires f Fault.Startup_hang ->
+        Barrier.set_refusal img.P.i_barrier (Some (fun () -> Fault.fires f Fault.Startup_hang))
+    | _ -> ()
+  in
+  let proc =
+    Loader.launch k ~instr:t.instr st.target ~on_image:(fun img ->
+        root_slot := Some img;
+        track_members ?trace:t.trace members img;
+        (* reinitiate quiescence detection before startup runs, so the new
+           version is never exposed to external events (Section 5) *)
+        Barrier.request img.P.i_barrier;
+        arm_startup_hang img;
+        img.P.i_child_hooks <-
+          (fun child ->
+            if !in_update then begin
+              Barrier.request child.P.i_barrier;
+              arm_startup_hang child
+            end)
+          :: img.P.i_child_hooks)
+  in
+  let root = Option.get !root_slot in
+  List.iter (fun (fd, src) -> ignore (K.transfer_fd k ~src ~fd ~dst:proc ~at:fd)) inherited;
+  let rep =
+    Replayer.start k ?trace:t.trace ?fault root ~logs ~inherited:(List.map fst inherited)
+  in
+  (* fault injection: syscall-level failures, scoped to new-version
+     processes so the serving old version never sees them *)
+  (match fault with
+  | Some f
+    when List.exists (function Fault.Syscall_failure _ -> true | _ -> false) (Fault.armed f)
+    ->
+      K.set_fault_hook k
+        (Some
+           (fun th call ->
+             let pid = K.pid (K.thread_proc th) in
+             if List.exists (fun (im : P.image) -> K.pid im.P.i_proc = pid) !members then
+               Fault.syscall_result f ~call
+             else None))
+  | _ -> ());
+  (* the new version gets its own controller thread; its replayed
+     unix_listen inherits the control socket *)
+  let mgr =
+    {
+      t with
+      prog_version = st.target;
+      root_proc = proc;
+      root_image = root;
+      members;
+      log_source = Replayed rep;
+      ctl_pending = ref false;
+      ctl_result = ref "";
+      ctl_sem = ctl_sem_of proc;
+    }
+  in
+  start_ctl mgr;
+  let n = { mgr; rep; logs; in_update } in
+  st.next <- Some n;
+  (* fault injection: kill the new version mid-startup *)
+  (match fault with
+  | Some f when Fault.consume f Fault.Startup_crash ->
+      ignore (K.run_until k ~max_ns:(K.clock_ns k + 50_000_000) (fun () -> false));
+      if K.alive proc then K.kill_process k proc ~status:139
+  | _ -> ());
+  let startup_max =
+    let cap = t1 + 10_000_000_000 in
+    match st.pol.Policy.update_deadline_ns with Some d -> min cap (st.t0 + d) | None -> cap
+  in
+  let startup_ok =
+    K.run_until k ~max_ns:startup_max (fun () ->
+        next_quiesced n || (not (K.alive proc)) || Replayer.conflicts rep <> [])
+  in
+  (match fault with
+  | Some f ->
+      ignore (Fault.consume f Fault.Startup_hang);
+      set_refusals !members None
+  | None -> ());
+  st.control_migration_ns <- K.clock_ns k - t1;
+  (* attribution: restart+replay elapses inside the window only for
+     single-shot updates; under pre-copy it runs while the old version
+     still serves *)
+  if not st.pol.Policy.precopy then
+    st.attr <- { st.attr with Flight.a_restart_ns = st.control_migration_ns };
+  stage_end st "restart_replay";
+  Metrics.observe t.mset.m_cm_h st.control_migration_ns;
+  let fail reason = Error (reason, "restart_replay") in
+  if not (K.alive proc) then fail Err.Startup_crashed
+  else
+    match Replayer.rollback_reason rep with
+    | Some reason -> fail reason
+    | None ->
+        if deadline_exceeded st then fail Err.Update_deadline_exceeded
+        else if not (startup_ok && next_quiesced n) then fail Err.Startup_not_quiescent
+        else Ok n
+
+let precopy_epoch = "mcr.precopy"
+
+(* One pair's pre-copy round: trace the old process's reachable graph and
+   stage the delta since the previous round into the pair's session.
+   Accumulates the round's (critical-path cost, delta words). *)
+let precopy_pair st n (cost, delta) (key, _new_pid) =
+  let workers = st.pol.Policy.transfer_workers in
+  match old_proc_of_key st n key with
+  | Some oldp when K.alive oldp -> (
+      match P.image_of_proc oldp with
+      | Some oi ->
+          let aspace = oi.P.i_aspace in
+          let since = Aspace.epoch_find aspace ~name:precopy_epoch in
+          let analysis = Objgraph.analyze ?trace:st.t.trace ?cost_since:since oi in
+          let session =
+            match Hashtbl.find_opt st.sessions key with
+            | Some s -> s
+            | None ->
+                let s = Transfer.precopy_create () in
+                Hashtbl.replace st.sessions key s;
+                s
           in
-          let res = round 1 in
-          Trace.span_end tr ~pid:mpid ~cat:"stage"
-            ~args:[ ("rounds", string_of_int !precopy_rounds_done) ]
-            "precopy";
-          res
-        end
-      in
-      let window_failed =
-        match precopy_result with
-        | Error reason -> Some (reason, "precopy")
-        | Ok () ->
-            if not precopy_enabled then None
-            else begin
-              (* relinking the program and prelinking shared libraries for
-                 the remapped immutable objects depends only on the new
-                 binary, all fixed before the window — prepay it too, with
-                 the old version still serving *)
-              K.run_for k relink_ns;
-              (* ---- the window opens: quiesce, pay only the delta ---- *)
-              if not (do_quiesce ()) then Some (quiesce_failure_reason (), "quiesce")
-              else if deadline_exceeded () then Some (Err.Update_deadline_exceeded, "quiesce")
-              else None
-            end
-      in
-      match window_failed with
-      | Some (reason, stage) ->
-          rollback reason ~stage ~cm_ns ~st_ns:0 ~transfers:[] ~transfer_conflicts:[]
-      | None -> begin
-      (* ---- restore: mutable tracing, in waves so reinit handlers can
-         re-create volatile processes that then get their own transfer ---- *)
-      Trace.span_begin tr ~pid:mpid ~cat:"stage" "state_transfer";
-      let t2' = K.clock_ns k in
-      let done_pairs = Hashtbl.create 8 in
-      let transfers = ref [] in
-      let transfer_conflicts = ref [] in
-      let max_pair_cost = ref 0 in
-      let pairs_done = ref 0 in
-      let transfer_wave () =
-        let fresh =
-          List.filter (fun (key, _) -> not (Hashtbl.mem done_pairs key)) (Replayer.pairs rep)
-        in
-        let worked = ref false in
-        List.iter
-          (fun (key, new_pid) ->
-            Hashtbl.replace done_pairs key ();
-            match (old_proc_of_key key, K.find_proc k new_pid) with
-            | Some oldp, Some newp when K.alive oldp && K.alive newp -> begin
-                match (P.image_of_proc oldp, P.image_of_proc newp) with
-                | Some oi, Some ni ->
-                    worked := true;
-                    let cost_since =
-                      (* the pre-copy epoch discounts in-window tracing only
-                         if this attempt's rounds actually paid for it *)
-                      if Hashtbl.mem sessions key then
-                        Aspace.epoch_find oi.P.i_aspace ~name:precopy_epoch
-                      else None
-                    in
-                    let analysis = Objgraph.analyze ?trace:tr ?cost_since ?fault oi in
-                    let outcome =
-                      Transfer.run ~old_image:oi ~new_image:ni ~analysis ~dirty_only
-                        ~remap:pol.Policy.transfer_remap
-                        ?precopy:(Hashtbl.find_opt sessions key)
-                        ~workers ?trace:tr ?fault ()
-                    in
-                    (* per-pair critical path: tracing and copying each run
-                       sharded across the worker pool, so the pair pays the
-                       max over shards of each phase, not the sum *)
-                    let pair_cost =
-                      outcome.Transfer.trace_critical_ns + outcome.Transfer.cost_ns
-                    in
-                    if pair_cost > !max_pair_cost then begin
-                      max_pair_cost := pair_cost;
-                      (* attribution follows the critical pair: its copy
-                         critical path is the max shard, and whatever
-                         cost_ns adds on top of that is the worker pool's
-                         spawn/join overhead *)
-                      let copy_crit =
-                        if outcome.Transfer.workers > 1 then
-                          Array.fold_left max 0 outcome.Transfer.shard_cost_ns
-                        else outcome.Transfer.cost_ns
-                      in
-                      fb_trace := outcome.Transfer.trace_critical_ns;
-                      fb_copy := copy_crit;
-                      fb_spawn_join := outcome.Transfer.cost_ns - copy_crit
-                    end;
-                    transfers := (key, outcome) :: !transfers;
-                    (* O(total-conflicts): accumulate reversed, reverse once
-                       at the consumption points *)
-                    transfer_conflicts :=
-                      List.rev_append outcome.Transfer.conflicts !transfer_conflicts;
-                    incr pairs_done;
-                    Metrics.incr t.mset.m_transfer_pairs;
-                    Metrics.incr ~by:outcome.Transfer.transferred_objects
-                      t.mset.m_transferred_objects;
-                    Metrics.incr ~by:outcome.Transfer.transferred_words
-                      t.mset.m_transferred_words;
-                    Metrics.incr ~by:outcome.Transfer.remapped_words
-                      t.mset.m_remapped_words;
-                    Metrics.incr ~by:outcome.Transfer.skipped_clean_words
-                      t.mset.m_skipped_clean_words;
-                    fb_remapped_words :=
-                      !fb_remapped_words + outcome.Transfer.remapped_words;
-                    fb_skipped_clean_words :=
-                      !fb_skipped_clean_words + outcome.Transfer.skipped_clean_words;
-                    Metrics.observe t.mset.m_pair_cost_h pair_cost;
-                    (* pair transfers run in parallel — the charged time is
-                       the max across pairs, so a begin/end pair cannot
-                       represent one; a Complete event carries the pair's
-                       own duration instead *)
-                    Trace.complete tr ~pid:new_pid ~cat:"stage"
-                      ~args:
-                        [ ("pair", Format.asprintf "%a" Logdefs.pp_key key);
-                          ("words", string_of_int outcome.Transfer.transferred_words);
-                          ("objects", string_of_int outcome.Transfer.transferred_objects);
-                          ("workers", string_of_int outcome.Transfer.workers) ]
-                      ~dur_ns:pair_cost "transfer.pair";
-                    Metrics.set t.mset.m_workers_g outcome.Transfer.workers;
-                    if outcome.Transfer.workers > 1 then
-                      Array.iteri
-                        (fun s words ->
-                          Metrics.observe t.mset.m_shard_words_h words;
-                          Trace.complete tr ~pid:new_pid ~cat:"stage"
-                            ~args:
-                              [ ("pair", Format.asprintf "%a" Logdefs.pp_key key);
-                                ("shard", string_of_int s);
-                                ("words", string_of_int words) ]
-                            ~dur_ns:
-                              (outcome.Transfer.trace_shard_ns.(s)
-                              + outcome.Transfer.shard_cost_ns.(s))
-                            "transfer.shard")
-                        outcome.Transfer.shard_words;
-                    (* post-startup descriptors (open connections) move to
-                       the paired process at the same numbers *)
-                    List.iter
-                      (fun fd ->
-                        if fd < reserved_fd_base then
-                          ignore (K.transfer_fd k ~src:oldp ~fd ~dst:newp ~at:fd))
-                      (K.fds oldp)
-                | _, _ -> ()
-              end
-            | _, _ -> ())
-          fresh;
-        !worked
-      in
-      ignore (transfer_wave ());
-      (* volatile quiescent states: run the new version's reinit handlers *)
-      let handler_threads =
-        (* fault injection: a handler that spins forever without blocking.
-           Each iteration makes a syscall (so the thread dies with its
-           process after rollback) and charges time (so the clock reaches
-           the settling horizon) *)
-        let injected =
-          match fault with
-          | Some f when Fault.consume f Fault.Reinit_hang ->
-              [
-                K.spawn_thread k new_root_image.P.i_proc ~name:"reinit:fault-hang"
-                  (fun th ->
-                    K.push_frame th "reinit:fault-hang";
-                    let rec spin () =
-                      ignore (K.syscall S.Getpid);
-                      K.charge k 50_000_000;
-                      spin ()
-                    in
-                    spin ());
-              ]
-          | _ -> []
-        in
-        injected
-        @ List.concat_map
-            (fun (im : P.image) ->
-              List.map
-                (fun (name, run) ->
-                  K.spawn_thread k im.P.i_proc ~name:("reinit:" ^ name) (fun th ->
-                      K.push_frame th ("reinit:" ^ name);
-                      run (reinit_ctx im th)))
-                (P.reinit_handlers im.P.i_version))
-            (live_new ())
-      in
-      (* wait until every handler has run to completion (or parked) AND the
-         processes they re-created have quiesced — the bare new_quiesced
-         predicate holds trivially before the handlers get scheduled *)
-      let handlers_settled () =
-        List.for_all
-          (fun th -> (not (K.thread_alive th)) || K.blocked_in th <> None)
-          handler_threads
-      in
-      let handlers_ok =
-        K.run_until k
-          ~max_ns:(K.clock_ns k + 2_000_000_000)
-          (fun () -> handlers_settled () && new_quiesced ())
-      in
-      let waves = ref 0 in
-      while transfer_wave () && !waves < 4 do
-        incr waves;
-        ignore (K.run_until k ~max_ns:(K.clock_ns k + 1_000_000_000) new_quiesced)
-      done;
-      (* attribution: everything that elapsed on the clock since the
-         state-transfer phase opened was reinit-handler settling (the
-         transfer waves themselves only accumulate charges) *)
-      fb_handlers := K.clock_ns k - t2';
-      (* parallel multiprocess transfer: the slowest pair bounds the
-         parallel phase; the coordinator adds a constant (relinking the
-         program and prelinking shared libraries for the remapped immutable
-         objects, Section 6 — already prepaid under pre-copy) plus a
-         per-process channel setup cost *)
-      fb_relink := (if precopy_enabled then 0 else relink_ns);
-      fb_channel := 2_000_000 * !pairs_done;
-      (* Dedicated-core accounting keeps client machines live through the
-         copy window — their connect/backoff timers fire inside it, which
-         is what the latency bench measures. Single-core accounting (the
-         default) freezes them, preserving historical downtime numbers. *)
-      (if pol.Policy.concurrent_transfer then K.charge_concurrent else K.charge)
-        k
-        (!max_pair_cost + !fb_relink + !fb_channel);
-      let t3 = K.clock_ns k in
-      let st_ns = t3 - t2' in
-      Trace.span_end tr ~pid:mpid ~cat:"stage"
-        ~args:[ ("pairs", string_of_int !pairs_done) ]
-        "state_transfer";
-      Metrics.observe t.mset.m_st_h st_ns;
-      if deadline_exceeded () then
-        rollback Err.Update_deadline_exceeded ~stage:"state_transfer" ~cm_ns ~st_ns
-          ~transfers:!transfers ~transfer_conflicts:(List.rev !transfer_conflicts)
-      else if not handlers_ok then
-        rollback Err.Reinit_not_quiesced ~stage:"state_transfer" ~cm_ns ~st_ns
-          ~transfers:!transfers ~transfer_conflicts:(List.rev !transfer_conflicts)
+          let rs =
+            Transfer.precopy_round session ~old_image:oi ~analysis ?since
+              ~dirty_only:st.pol.Policy.dirty_only ~workers ()
+          in
+          (* staging is host-side (no program ran), so the write sequence
+             is unchanged since [since] was read: resetting now is the same
+             mark *)
+          Aspace.epoch_reset aspace ~name:precopy_epoch;
+          st.precopy_bytes <- st.precopy_bytes + (rs.Transfer.round_words * Addr.word_size);
+          (* rounds run per-pair in parallel, like transfers; within a pair
+             the worker pool shards the round, so the pair pays its
+             critical path *)
+          ( max cost (Objgraph.trace_critical_ns analysis ~workers + rs.Transfer.round_cost_ns),
+            delta + rs.Transfer.round_words )
+      | None -> (cost, delta))
+  | _ -> (cost, delta)
+
+(* Pre-copy: speculative tracing + staging rounds while the old version
+   keeps serving, then the prepaid relink, then quiescence opens the window
+   for the final delta. Staging is host-side only (no new-version writes),
+   so failing here needs no undo beyond the shared rollback. A no-op
+   without [pol.precopy]: the window opened before restart. *)
+let precopy ?on_precopy_round st n =
+  if not st.pol.Policy.precopy then Ok ()
+  else begin
+    stage_begin st "precopy";
+    (* each attempt is a fresh pre-copy session: forget any epoch a
+       previous (rolled-back) attempt left on the old images so round one
+       stages the full copy set and pays full tracing *)
+    List.iter
+      (fun (im : P.image) -> Aspace.epoch_remove im.P.i_aspace ~name:precopy_epoch)
+      (images st.t);
+    let max_rounds = max 1 st.pol.Policy.precopy_max_rounds in
+    let threshold = max 0 st.pol.Policy.precopy_threshold_words in
+    let rec round r =
+      if deadline_exceeded st then Error Err.Update_deadline_exceeded
       else begin
-        match Transfer.rollback_reason (List.rev !transfer_conflicts) with
-        | Some reason ->
-            rollback reason ~stage:"state_transfer" ~cm_ns ~st_ns ~transfers:!transfers
-              ~transfer_conflicts:(List.rev !transfer_conflicts)
-        | None -> begin
-        (* ---- commit ---- *)
-        teardown_from := K.clock_ns k;
-        Trace.span_begin tr ~pid:mpid ~cat:"stage" "commit";
-        respond_ctl t "OK";
-        List.iter
-          (fun (im : P.image) ->
-            (* the old image dies: detach any frames it shares with the new
-               image (zero-copy remap) so the survivor owns its memory *)
-            ignore (Aspace.detach_shared im.P.i_aspace);
-            if K.alive im.P.i_proc then K.kill_process k im.P.i_proc ~status:0)
-          (images t);
-        (* the update window is over: close the transfer's dirty epoch on
-           the surviving images so the next update starts it afresh *)
-        List.iter
-          (fun (im : P.image) ->
-            Aspace.epoch_reset im.P.i_aspace ~name:"mcr.transfer")
-          (live_new ());
-        in_update := false;
-        K.set_fault_hook k None;
-        List.iter (fun (im : P.image) -> Barrier.release im.P.i_barrier) (live_new ());
-        (* the survivor serves: parked connections drain FIFO into its
-           accept backlogs (the listener descriptors were shared across
-           versions, so the queue is already its own) *)
-        unpark_members (live_new ());
-        let parked_requests, resumed_requests, aborted_requests = note_parking () in
-        let new_t =
-          {
-            kernel = k;
-            instr = t.instr;
-            prog_version = new_version;
-            root_proc = new_proc;
-            root_image = new_root_image;
-            members = new_members;
-            log_source = Replayed rep;
-            ctl_path = t.ctl_path;
-            ctl_pending = new_ctl_pending;
-            ctl_result = new_ctl_result;
-            ctl_sem = new_ctl_sem;
-            trace = tr;
-            metrics = t.metrics;
-            mset = t.mset;
-            policy = t.policy;
-            flight_log = t.flight_log;
-            flight_seq = t.flight_seq;
-          }
-        in
-        Metrics.incr t.mset.m_commits;
-        Metrics.incr ~by:(Replayer.replayed_calls rep) t.mset.m_replayed;
-        Metrics.incr ~by:(Replayer.live_calls rep) t.mset.m_live;
-        observe_end ();
-        Trace.span_end tr ~pid:mpid ~cat:"stage" "commit";
-        Trace.span_end tr ~pid:mpid ~cat:"stage" "update";
-        let flight = build_flight ~success:true ~explanation:None in
-        ( new_t,
-          {
-            success = true;
-            quiesce_ns = !quiesce_ns;
-            control_migration_ns = cm_ns;
-            state_transfer_ns = st_ns;
-            total_ns = K.clock_ns k - t0;
-            downtime_ns = downtime_ns ();
-            precopy_rounds = !precopy_rounds_done;
-            precopy_bytes = !precopy_bytes_staged;
-            replayed_calls = Replayer.replayed_calls rep;
-            live_calls = Replayer.live_calls rep;
-            replay_conflicts = [];
-            transfer_conflicts = [];
-            transfers = List.rev !transfers;
-            failure = None;
-            metrics = metrics_snapshot new_t;
-            flight;
-            parked_requests;
-            resumed_requests;
-            aborted_requests;
-            client_latency = client_latency ();
-          } )
-        end
+        st.precopy_rounds <- st.precopy_rounds + 1;
+        let cost, delta = List.fold_left (precopy_pair st n) (0, 0) (Replayer.pairs n.rep) in
+        stage_instant st
+          ~args:
+            [ ("round", string_of_int r); ("delta_words", string_of_int delta);
+              ("cost_ns", string_of_int cost) ]
+          "precopy.round";
+        st.rounds <- { Flight.r_words = delta; r_cost_ns = cost } :: st.rounds;
+        (* the old version keeps serving while the speculative copy
+           elapses — this is the whole point *)
+        K.run_for st.t.kernel cost;
+        Option.iter (fun f -> f r) on_precopy_round;
+        if r >= 2 && delta <= threshold then Ok ()
+        else if r >= max_rounds then
+          if max_rounds = 1 || delta <= threshold then Ok () else Error Err.Precopy_diverged
+        else round (r + 1)
       end
-      end
-    end
-    end
-  end
+    in
+    let res = round 1 in
+    stage_end st ~args:[ ("rounds", string_of_int st.precopy_rounds) ] "precopy";
+    match res with
+    | Error reason -> Error (reason, "precopy")
+    | Ok () ->
+        (* relinking the program and prelinking shared libraries for the
+           remapped immutable objects depends only on the new binary, all
+           fixed before the window — prepay it too, with the old version
+           still serving *)
+        K.run_for st.t.kernel relink_ns;
+        quiesce st
   end
 
+(* One pair's state transfer: mutable tracing of the old process, the copy
+   into its new-version pair, and the move of its post-startup descriptors.
+   Returns the outcome and the pair's critical-path cost: tracing and
+   copying each run sharded across the worker pool, so the pair pays the
+   max over shards of each phase, not the sum. *)
+let transfer_pair st ~key ~new_pid (oldp, oi) (newp, ni) =
+  let t = st.t and pol = st.pol and mset = st.t.mset in
+  let cost_since =
+    (* the pre-copy epoch discounts in-window tracing only if this
+       attempt's rounds actually paid for it *)
+    if Hashtbl.mem st.sessions key then Aspace.epoch_find oi.P.i_aspace ~name:precopy_epoch
+    else None
+  in
+  let analysis = Objgraph.analyze ?trace:t.trace ?cost_since ?fault:st.fault oi in
+  let o =
+    Transfer.run ~old_image:oi ~new_image:ni ~analysis ~dirty_only:pol.Policy.dirty_only
+      ~remap:pol.Policy.transfer_remap
+      ?precopy:(Hashtbl.find_opt st.sessions key)
+      ~workers:pol.Policy.transfer_workers ?trace:t.trace ?fault:st.fault ()
+  in
+  let pair_cost = o.Transfer.trace_critical_ns + o.Transfer.cost_ns in
+  st.transfers <- (key, o) :: st.transfers;
+  st.transfer_conflicts <- List.rev_append o.Transfer.conflicts st.transfer_conflicts;
+  st.remapped_words <- st.remapped_words + o.Transfer.remapped_words;
+  st.skipped_clean_words <- st.skipped_clean_words + o.Transfer.skipped_clean_words;
+  Metrics.incr mset.m_transfer_pairs;
+  Metrics.incr ~by:o.Transfer.transferred_objects mset.m_transferred_objects;
+  Metrics.incr ~by:o.Transfer.transferred_words mset.m_transferred_words;
+  Metrics.incr ~by:o.Transfer.remapped_words mset.m_remapped_words;
+  Metrics.incr ~by:o.Transfer.skipped_clean_words mset.m_skipped_clean_words;
+  Metrics.observe mset.m_pair_cost_h pair_cost;
+  let pair = Format.asprintf "%a" Logdefs.pp_key key in
+  (* pair transfers run in parallel — the charged time is the max across
+     pairs, so a begin/end pair cannot represent one; a Complete event
+     carries the pair's own duration instead *)
+  Trace.complete t.trace ~pid:new_pid ~cat:"stage"
+    ~args:
+      [ ("pair", pair); ("words", string_of_int o.Transfer.transferred_words);
+        ("objects", string_of_int o.Transfer.transferred_objects);
+        ("workers", string_of_int o.Transfer.workers) ]
+    ~dur_ns:pair_cost "transfer.pair";
+  Metrics.set mset.m_workers_g o.Transfer.workers;
+  if o.Transfer.workers > 1 then
+    Array.iteri
+      (fun s words ->
+        Metrics.observe mset.m_shard_words_h words;
+        Trace.complete t.trace ~pid:new_pid ~cat:"stage"
+          ~args:[ ("pair", pair); ("shard", string_of_int s); ("words", string_of_int words) ]
+          ~dur_ns:(o.Transfer.trace_shard_ns.(s) + o.Transfer.shard_cost_ns.(s))
+          "transfer.shard")
+      o.Transfer.shard_words;
+  (* post-startup descriptors (open connections) move to the paired
+     process at the same numbers *)
+  List.iter
+    (fun fd ->
+      if fd < reserved_fd_base then ignore (K.transfer_fd t.kernel ~src:oldp ~fd ~dst:newp ~at:fd))
+    (K.fds oldp);
+  (o, pair_cost)
+
+(* Volatile quiescent states: run the new version's reinit handlers. *)
+let spawn_handlers st n =
+  let k = st.t.kernel in
+  (* fault injection: a handler that spins forever without blocking. Each
+     iteration makes a syscall (so the thread dies with its process after
+     rollback) and charges time (so the clock reaches the settling
+     horizon) *)
+  let injected =
+    match st.fault with
+    | Some f when Fault.consume f Fault.Reinit_hang ->
+        [
+          K.spawn_thread k n.mgr.root_image.P.i_proc ~name:"reinit:fault-hang" (fun th ->
+              K.push_frame th "reinit:fault-hang";
+              let rec spin () =
+                ignore (K.syscall S.Getpid);
+                K.charge k 50_000_000;
+                spin ()
+              in
+              spin ());
+        ]
+    | _ -> []
+  in
+  injected
+  @ List.concat_map
+      (fun (im : P.image) ->
+        List.map
+          (fun (name, run) ->
+            K.spawn_thread k im.P.i_proc ~name:("reinit:" ^ name) (fun th ->
+                K.push_frame th ("reinit:" ^ name);
+                run (reinit_ctx im th)))
+          (P.reinit_handlers im.P.i_version))
+      (images n.mgr)
+
+(* Restore: transfer every process pair, in waves so reinit handlers can
+   re-create volatile processes that then get their own transfer, then
+   charge the parallel phase. *)
+let state_transfer st n =
+  let k = st.t.kernel and pol = st.pol in
+  stage_begin st "state_transfer";
+  let t2 = K.clock_ns k in
+  let done_pairs = Hashtbl.create 8 in
+  let max_pair_cost = ref 0 in
+  let pairs_done = ref 0 in
+  let wave () =
+    let fresh =
+      List.filter (fun (key, _) -> not (Hashtbl.mem done_pairs key)) (Replayer.pairs n.rep)
+    in
+    List.fold_left
+      (fun worked (key, new_pid) ->
+        Hashtbl.replace done_pairs key ();
+        match (old_proc_of_key st n key, K.find_proc k new_pid) with
+        | Some oldp, Some newp when K.alive oldp && K.alive newp -> (
+            match (P.image_of_proc oldp, P.image_of_proc newp) with
+            | Some oi, Some ni ->
+                let o, cost = transfer_pair st ~key ~new_pid (oldp, oi) (newp, ni) in
+                incr pairs_done;
+                if cost > !max_pair_cost then begin
+                  max_pair_cost := cost;
+                  (* attribution follows the critical pair: its copy
+                     critical path is the max shard, and whatever cost_ns
+                     adds on top of that is the worker pool's spawn/join
+                     overhead *)
+                  let copy_crit =
+                    if o.Transfer.workers > 1 then Array.fold_left max 0 o.Transfer.shard_cost_ns
+                    else o.Transfer.cost_ns
+                  in
+                  st.attr <-
+                    {
+                      st.attr with
+                      Flight.a_trace_ns = o.Transfer.trace_critical_ns;
+                      a_copy_ns = copy_crit;
+                      a_spawn_join_ns = o.Transfer.cost_ns - copy_crit;
+                    }
+                end;
+                true
+            | _ -> worked)
+        | _ -> worked)
+      false fresh
+  in
+  ignore (wave ());
+  let handlers = spawn_handlers st n in
+  (* wait until every handler has run to completion (or parked) AND the
+     processes they re-created have quiesced — the bare next_quiesced
+     predicate holds trivially before the handlers get scheduled *)
+  let handlers_settled () =
+    List.for_all (fun th -> (not (K.thread_alive th)) || K.blocked_in th <> None) handlers
+  in
+  let handlers_ok =
+    K.run_until k
+      ~max_ns:(K.clock_ns k + 2_000_000_000)
+      (fun () -> handlers_settled () && next_quiesced n)
+  in
+  let waves = ref 0 in
+  while wave () && !waves < 4 do
+    incr waves;
+    ignore (K.run_until k ~max_ns:(K.clock_ns k + 1_000_000_000) (fun () -> next_quiesced n))
+  done;
+  (* parallel multiprocess transfer: the slowest pair bounds the parallel
+     phase; the coordinator adds a constant (relinking the program and
+     prelinking shared libraries for the remapped immutable objects,
+     Section 6 — already prepaid under pre-copy) plus a per-process channel
+     setup cost *)
+  let relink = if pol.Policy.precopy then 0 else relink_ns in
+  let channel = 2_000_000 * !pairs_done in
+  let charged = !max_pair_cost + relink + channel in
+  (* Dedicated-core accounting keeps client machines live through the copy
+     window — their connect/backoff timers fire inside it, which is what
+     the latency bench measures. Single-core accounting (the default)
+     freezes them, preserving historical downtime numbers. *)
+  (if pol.Policy.concurrent_transfer then K.charge_concurrent else K.charge) k charged;
+  st.state_transfer_ns <- K.clock_ns k - t2;
+  (* attribution: whatever elapsed in this stage beyond the coordinator's
+     own charge was other threads' time — reinit-handler settling before
+     the charge, and under concurrent transfer the overshoot of the
+     scheduler step that crossed the charge's deadline *)
+  st.attr <-
+    {
+      st.attr with
+      Flight.a_handlers_ns = st.state_transfer_ns - charged;
+      a_relink_ns = relink;
+      a_channel_ns = channel;
+    };
+  stage_end st ~args:[ ("pairs", string_of_int !pairs_done) ] "state_transfer";
+  Metrics.observe st.t.mset.m_st_h st.state_transfer_ns;
+  let fail reason = Error (reason, "state_transfer") in
+  if deadline_exceeded st then fail Err.Update_deadline_exceeded
+  else if not handlers_ok then fail Err.Reinit_not_quiesced
+  else
+    match Transfer.rollback_reason (List.rev st.transfer_conflicts) with
+    | Some reason -> fail reason
+    | None -> Ok ()
+
+(* Commit: release the new version, terminate the old. *)
+let commit st n =
+  let k = st.t.kernel in
+  st.teardown_from <- now st;
+  stage_begin st "commit";
+  respond_ctl st.t "OK";
+  List.iter
+    (fun (im : P.image) ->
+      (* the old image dies: detach any frames it shares with the new image
+         (zero-copy remap) so the survivor owns its memory *)
+      ignore (Aspace.detach_shared im.P.i_aspace);
+      if K.alive im.P.i_proc then K.kill_process k im.P.i_proc ~status:0)
+    (images st.t);
+  (* the update window is over: close the transfer's dirty epoch on the
+     surviving images so the next update starts it afresh *)
+  List.iter
+    (fun (im : P.image) -> Aspace.epoch_reset im.P.i_aspace ~name:"mcr.transfer")
+    (images n.mgr);
+  end_update st n;
+  List.iter (fun (im : P.image) -> Barrier.release im.P.i_barrier) (images n.mgr);
+  (* the survivor serves: parked connections drain FIFO into its accept
+     backlogs (the listener descriptors were shared across versions, so
+     the queue is already its own) *)
+  let parking = unpark st (images n.mgr) in
+  Metrics.incr st.t.mset.m_commits;
+  stage_end st "commit";
+  finish st ~owner:n.mgr ~failure:None ~parking
+
+let ( let* ) = Result.bind
+
+(* One attempt: the stages in order, each either advancing the attempt or
+   naming the rollback reason and the stage that hit it; every failure
+   takes the same [abort] exit. Without pre-copy the stage order is the
+   paper's checkpoint/restart/restore and the window is the whole update.
+   With [pol.precopy] the old version keeps serving while the new version
+   starts up and delta rounds speculatively stage the reachable graph;
+   [precopy] then opens the window, so downtime is the final delta, not the
+   bulk transfer. *)
+let run_attempt t ~pol ~attempt ~prior ?fault ?on_precopy_round target =
+  let t0 = K.clock_ns t.kernel in
+  Option.iter (fun f -> Fault.set_trace f t.trace) fault;
+  let st =
+    {
+      t;
+      pol;
+      fault;
+      target;
+      index = attempt;
+      prior;
+      t0;
+      window_start = (if pol.Policy.precopy then None else Some t0);
+      quiesce_ns = 0;
+      control_migration_ns = 0;
+      state_transfer_ns = 0;
+      precopy_rounds = 0;
+      precopy_bytes = 0;
+      parking0 = K.parking_stats t.kernel;
+      listeners_parked = false;
+      image = None;
+      attr = Flight.zero_attribution;
+      rounds = [];
+      remapped_words = 0;
+      skipped_clean_words = 0;
+      teardown_from = t0;
+      sessions = Hashtbl.create 8;
+      transfers = [];
+      transfer_conflicts = [];
+      next = None;
+    }
+  in
+  Metrics.incr t.mset.m_updates;
+  stage_begin st
+    ~args:
+      [ ("from", t.prog_version.P.version_tag); ("to", target.P.version_tag);
+        ("prog", t.prog_version.P.prog) ]
+    "update";
+  let outcome =
+    (* a manager whose processes are gone (already updated away from, or
+       crashed) cannot be updated *)
+    let* () = if images t = [] then Error (Err.Program_not_running, "init") else Ok () in
+    let* () = if pol.Policy.precopy then Ok () else quiesce st in
+    let* n = restart_replay st in
+    let* () = precopy ?on_precopy_round st n in
+    let* () = state_transfer st n in
+    Ok n
+  in
+  match outcome with Ok n -> commit st n | Error failure -> abort st failure
+
 (* Public entry point: resolve the effective policy (manager's stored
-   policy, overridden for this call by [?policy]), then run [update_once]
+   policy, overridden for this call by [?policy]), then run [run_attempt]
    with bounded retry. The fault plan is shared across attempts — a fault
    consumed by attempt [n] is gone on attempt [n+1], so transient injected
    failures are exactly the ones retry recovers from. *)
@@ -1595,7 +1486,7 @@ let update t ?policy ?fault ?on_precopy_round new_version =
   let k = t.kernel in
   let rec attempt n prior =
     let t', rep =
-      update_once t ~pol ~attempt:n ~prior ?fault ?on_precopy_round new_version
+      run_attempt t ~pol ~attempt:n ~prior ?fault ?on_precopy_round new_version
     in
     if rep.success || n >= pol.Policy.retries then (t', rep)
     else begin

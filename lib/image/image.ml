@@ -171,7 +171,8 @@ let r_bool r = r_u64 r <> 0
 
 let r_str r =
   let n = r_u64 r in
-  if n < 0 || r.pos + n > String.length r.data then raise Short;
+  (* compared as remaining-bytes so a huge [n] cannot overflow the sum *)
+  if n < 0 || n > String.length r.data - r.pos then raise Short;
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
@@ -200,7 +201,7 @@ let r_region r =
   let r_base = r_u64 r in
   let r_size = r_u64 r in
   let n = r_u64 r in
-  if n < 0 || r.pos + (8 * n) > String.length r.data then raise Short;
+  if n < 0 || n > (String.length r.data - r.pos) / 8 then raise Short;
   let r_words = Array.init n (fun _ -> r_u64 r) in
   { r_name; r_kind; r_base; r_size; r_words }
 

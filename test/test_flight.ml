@@ -16,6 +16,7 @@ module Flight = Mcr_obs.Flight
 module Postmortem = Mcr_obs.Postmortem
 module Metrics = Mcr_obs.Metrics
 module Testbed = Mcr_workloads.Testbed
+module Trace = Mcr_obs.Trace
 
 let drive kernel pred =
   ignore (K.run_until kernel ~max_ns:(K.clock_ns kernel + 120_000_000_000) pred)
@@ -237,6 +238,83 @@ let test_explain_golden () =
           | [ c ] -> Alcotest.(check string) "conflict kind" "injected" c.Flight.c_kind
           | cs -> Alcotest.failf "expected 1 conflict, got %d" (List.length cs)))
 
+(* ------------------------------------------------------------------ *)
+(* Exit paths, pinned: one update ending at each exit of the pipeline
+   (init, quiesce, restart_replay, precopy, state_transfer, commit) under
+   the default charging policy. The golden holds every scalar report
+   field, the metrics snapshot, the stage spans and the flight record, so
+   a change to what any exit reports shows up as a diff. On a mismatch the
+   actual lines are written to [exit_paths.actual] in the test's working
+   directory. *)
+
+let exit_path_lines () =
+  let scenario name ?(policy = Policy.default) ?fault ?(mutate = false) ?(stale = false) () =
+    let kernel = K.create () in
+    let trace = Trace.create ~clock:(fun () -> K.clock_ns kernel) () in
+    let m = Testbed.launch ~trace kernel Testbed.Httpd in
+    ignore (Testbed.benchmark kernel Testbed.Httpd ~scale:1000 ());
+    let final = Testbed.final_version Testbed.Httpd in
+    (* a stale manager (its version already updated away) exits at init *)
+    if stale then ignore (Manager.update m final);
+    Trace.clear trace;
+    (* writes between pre-copy rounds keep the delta from converging *)
+    let on_precopy_round =
+      if mutate then
+        Some (fun _ -> ignore (Testbed.benchmark kernel Testbed.Httpd ~scale:1000 ()))
+      else None
+    in
+    let _, r = Manager.update m ~policy ?fault ?on_precopy_round final in
+    let scalars =
+      Printf.sprintf
+        "success=%b quiesce_ns=%d control_migration_ns=%d state_transfer_ns=%d total_ns=%d \
+         downtime_ns=%d precopy_rounds=%d precopy_bytes=%d replayed_calls=%d live_calls=%d \
+         replay_conflicts=%d transfer_conflicts=%d transfers=%d failure=%s parked=%d \
+         resumed=%d aborted=%d"
+        r.Manager.success r.Manager.quiesce_ns r.Manager.control_migration_ns
+        r.Manager.state_transfer_ns r.Manager.total_ns r.Manager.downtime_ns
+        r.Manager.precopy_rounds r.Manager.precopy_bytes r.Manager.replayed_calls
+        r.Manager.live_calls
+        (List.length r.Manager.replay_conflicts)
+        (List.length r.Manager.transfer_conflicts)
+        (List.length r.Manager.transfers)
+        (match r.Manager.failure with Some e -> Mcr_error.to_string e | None -> "-")
+        r.Manager.parked_requests r.Manager.resumed_requests r.Manager.aborted_requests
+    in
+    let spans =
+      List.filter_map
+        (fun (e : Trace.event) ->
+          if e.Trace.cat = "stage" then Some (Trace.phase_name e.Trace.phase ^ " " ^ e.Trace.name)
+          else None)
+        (Trace.events trace)
+    in
+    [ "== " ^ name; scalars; "spans: " ^ String.concat ", " spans;
+      "flight: " ^ Flight.to_json r.Manager.flight ]
+    @ String.split_on_char '\n' (String.trim (Metrics.render r.Manager.metrics))
+  in
+  List.concat
+    [
+      scenario "init" ~stale:true ();
+      scenario "quiesce" ~fault:(Fault.script [ Fault.Quiesce_refusal ]) ();
+      scenario "restart_replay" ~fault:(Fault.script [ Fault.Startup_crash ]) ();
+      scenario "precopy"
+        ~policy:(Policy.with_precopy ~max_rounds:2 ~threshold_words:0 true Policy.default)
+        ~mutate:true ();
+      scenario "state_transfer" ~fault:(Fault.script [ Fault.Transfer_conflict ]) ();
+      scenario "commit" ();
+    ]
+
+let test_exit_paths_golden () =
+  let actual = exit_path_lines () in
+  let expected =
+    String.split_on_char '\n' (String.trim (read_file "golden/exit_paths.golden"))
+  in
+  if actual <> expected then begin
+    let oc = open_out_bin "exit_paths.actual" in
+    List.iter (fun l -> output_string oc (l ^ "\n")) actual;
+    close_out oc
+  end;
+  Alcotest.(check (list string)) "exit paths match golden" expected actual
+
 let test_explain_wire_errors () =
   let kernel, m2 = explain_scenario () in
   (match request_explain kernel m2 ~nth:(Some 99) with
@@ -389,6 +467,7 @@ let () =
           Alcotest.test_case "wire errors" `Quick test_explain_wire_errors;
           Alcotest.test_case "empty recorder refuses" `Quick test_explain_empty;
         ] );
+      ("exit-paths", [ Alcotest.test_case "golden per exit" `Quick test_exit_paths_golden ]);
       ( "slo",
         [
           Alcotest.test_case "violation recorded and counted" `Quick test_slo_violation;

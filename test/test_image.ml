@@ -153,6 +153,32 @@ let test_unknown_section_skipped () =
       Alcotest.(check int) "known procs intact" (Image.proc_count img)
         (Image.proc_count img')
 
+(* Length fields near max_int: the bounds checks compare against the
+   bytes remaining, so no sum or product can wrap negative and slip a
+   huge length past them into String.sub / Array.init. *)
+let test_oversized_lengths () =
+  let header count = "MCRIMAGE" ^ u64_le 1 ^ u64_le count in
+  let section tag name payload =
+    tag ^ w_str name ^ w_str payload ^ u64_le (Fnv.string payload)
+  in
+  let sealed body = body ^ u64_le (Fnv.string body) in
+  check_rejected "section name of max_int bytes"
+    (Image.Truncated { section = "META" })
+    (header 1 ^ "META" ^ u64_le max_int ^ "xx");
+  (* 8 * n wraps negative for this word count; one word is present, so
+     only the bounds check stands between it and Array.init *)
+  let region =
+    w_str "r" ^ w_str "static" ^ u64_le 0 ^ u64_le 0 ^ u64_le ((max_int / 8) + 2) ^ u64_le 0
+  in
+  let proc =
+    u64_le 1 ^ w_str "p" ^ u64_le 0 ^ u64_le 1 ^ u64_le 0 ^ u64_le 0
+    ^ u64_le 0 (* no fds *) ^ u64_le 1 (* one region *) ^ region
+  in
+  let meta = w_str "prog" ^ w_str "v1" ^ u64_le 0 ^ u64_le 0 ^ u64_le 1 in
+  check_rejected "region word count past the payload"
+    (Image.Malformed { section = "proc"; reason = "proc section p0 is self-inconsistent" })
+    (sealed (header 2 ^ section "META" "meta" meta ^ section "PROC" "p0" proc))
+
 (* {1 Restart-from-file} *)
 
 let test_restore_under_load () =
@@ -395,6 +421,7 @@ let () =
           Alcotest.test_case "layout names sections" `Quick test_layout_names_sections;
           Alcotest.test_case "corruption goldens" `Quick test_corruption_goldens;
           Alcotest.test_case "unknown section skipped" `Quick test_unknown_section_skipped;
+          Alcotest.test_case "oversized length fields" `Quick test_oversized_lengths;
         ] );
       ( "restore",
         [

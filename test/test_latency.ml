@@ -38,7 +38,8 @@ let shrink_ftp_payload kernel server =
 
 (* One update bracketed by an open-loop stream; returns the driver, the
    update report, and the kernel's parking ledger. *)
-let run_stream server ~seed ~parking ~precopy ~remap ~fault_seed ~requests ~rate () =
+let run_stream ?(warm_ns = 3_000_000) server ~seed ~parking ~precopy ~remap ~fault_seed
+    ~requests ~rate () =
   let kernel = K.create () in
   let base_version, final_version = versions server in
   let m = Testbed.launch ~version:base_version kernel server in
@@ -56,7 +57,7 @@ let run_stream server ~seed ~parking ~precopy ~remap ~fault_seed ~requests ~rate
   let lg =
     Loadgen.start kernel ~server ~seed ~metrics:(Manager.metrics m) ~rate ~requests ()
   in
-  K.run_for kernel 3_000_000;
+  K.run_for kernel warm_ns;
   let _m2, report = Manager.update m ~policy final_version in
   Loadgen.drive lg;
   (lg, report, K.parking_stats kernel)
@@ -105,7 +106,7 @@ let prop_conservation =
       let server = servers.(si) in
       let fault_seed = if inject then Some seed else None in
       let requests = 120 in
-      let lg, _report, ps =
+      let lg, report, ps =
         run_stream server ~seed:5 ~parking ~precopy ~remap ~fault_seed ~requests
           ~rate:20_000 ()
       in
@@ -127,7 +128,41 @@ let prop_conservation =
         QCheck.Test.fail_reportf "%d errored without faults" errored;
       if fault_seed = None && ps.K.aborted > 0 then
         QCheck.Test.fail_reportf "%d aborted without faults" ps.K.aborted;
+      let residue = Flight.unattributed_ns report.Manager.flight in
+      if residue <> 0 then QCheck.Test.fail_reportf "%d ns of downtime unattributed" residue;
       true)
+
+(* Attribution under concurrent transfer: the charge that closes state
+   transfer keeps the scheduler running, and the step that crosses its
+   deadline overshoots it. Both pinned streams used to leave exactly that
+   overshoot out of every segment. *)
+let check_attributed label report =
+  let f = report.Manager.flight in
+  Alcotest.(check int)
+    (label ^ ": segments sum to downtime")
+    f.Flight.f_downtime_ns
+    (Flight.attribution_sum f.Flight.f_attribution)
+
+let test_residue_reinit_hang () =
+  (* seed 158742 arms Reinit_hang: the hang thread's 50 ms charge runs
+     inside the state-transfer charge and rolls the update back *)
+  let _, report, _ =
+    run_stream Testbed.Nginx ~seed:5 ~parking:false ~precopy:false ~remap:false
+      ~fault_seed:(Some 158742) ~requests:120 ~rate:20_000 ()
+  in
+  Alcotest.(check bool) "rolled back" false report.Manager.success;
+  Alcotest.(check (option string)) "fault fired" (Some "reinit_hang")
+    (Option.bind report.Manager.flight.Flight.f_explanation (fun e -> e.Flight.e_fault));
+  check_attributed "nginx reinit hang" report
+
+let test_residue_latency_smoke_cell () =
+  (* the httpd parking-off cell of the latency smoke bench *)
+  let _, report, _ =
+    run_stream ~warm_ns:5_000_000 Testbed.Httpd ~seed:11 ~parking:false ~precopy:false
+      ~remap:false ~fault_seed:None ~requests:1_500 ~rate:30_000 ()
+  in
+  Alcotest.(check bool) "committed" true report.Manager.success;
+  check_attributed "httpd latency smoke, parking off" report
 
 (* ------------------------------------------------------------------ *)
 (* Client impact: window arithmetic, stall-segment attribution, JSON. *)
@@ -289,6 +324,13 @@ let () =
         [
           Alcotest.test_case "poisson determinism" `Quick test_poisson_determinism;
           qt prop_conservation;
+        ] );
+      ( "attribution",
+        [
+          Alcotest.test_case "reinit hang under concurrent transfer" `Quick
+            test_residue_reinit_hang;
+          Alcotest.test_case "latency smoke cell, parking off" `Quick
+            test_residue_latency_smoke_cell;
         ] );
       ( "client-impact",
         [
