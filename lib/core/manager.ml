@@ -134,6 +134,7 @@ type report = {
   replay_conflicts : Replayer.conflict list;
   transfer_conflicts : Transfer.conflict list;
   transfers : (Logdefs.proc_key * Transfer.outcome) list;
+  remap_ledger : Transfer.ledger;
   failure : Err.rollback_reason option;
   metrics : Metrics.snapshot;
   flight : Flight.record;
@@ -681,6 +682,7 @@ type attempt = {
   mutable teardown_from : int;
   sessions : (Logdefs.proc_key, Transfer.precopy) Hashtbl.t;
   mutable transfers : (Logdefs.proc_key * Transfer.outcome) list;  (* newest first *)
+  ledger : Transfer.ledger;  (* the pages this attempt's remap shared *)
   mutable transfer_conflicts : Transfer.conflict list;  (* newest first *)
   mutable next : next option;
 }
@@ -860,6 +862,7 @@ let finish st ~(owner : t) ~failure ~parking =
       replay_conflicts;
       transfer_conflicts;
       transfers = List.rev st.transfers;
+      remap_ledger = st.ledger;
       failure = Option.map fst failure;
       metrics = metrics_snapshot owner;
       flight;
@@ -888,13 +891,12 @@ let abort st ((reason, _) as failure) =
     (fun n ->
       end_update st n;
       stage_begin st ~args:[ ("reason", reason_s) ] "rollback";
+      (* remapped pages in the dying new image may still share frames with
+         the surviving old image: give the survivor sole ownership so no
+         remap outlives the window *)
+      Transfer.ledger_release st.ledger ~dying:`New;
       List.iter
-        (fun (im : P.image) ->
-          (* remapped pages in the dying new image may still share frames
-             with the surviving old image: give the survivor sole ownership
-             so no shared frame outlives the window *)
-          ignore (Aspace.detach_shared im.P.i_aspace);
-          if K.alive im.P.i_proc then K.kill_process k im.P.i_proc ~status:1)
+        (fun (im : P.image) -> if K.alive im.P.i_proc then K.kill_process k im.P.i_proc ~status:1)
         !(n.mgr.members))
     st.next;
   release_all t;
@@ -1208,7 +1210,7 @@ let transfer_pair st ~key ~new_pid (oldp, oi) (newp, ni) =
   let analysis = Objgraph.analyze ?trace:t.trace ?cost_since ?fault:st.fault oi in
   let o =
     Transfer.run ~old_image:oi ~new_image:ni ~analysis ~dirty_only:pol.Policy.dirty_only
-      ~remap:pol.Policy.transfer_remap
+      ?remap:(if pol.Policy.transfer_remap then Some st.ledger else None)
       ?precopy:(Hashtbl.find_opt st.sessions key)
       ~workers:pol.Policy.transfer_workers ?trace:t.trace ?fault:st.fault ()
   in
@@ -1389,12 +1391,11 @@ let commit st n =
   st.teardown_from <- now st;
   stage_begin st "commit";
   respond_ctl st.t "OK";
+  (* the old image dies: un-share the frames the remap shared with the new
+     image so the survivor owns its memory *)
+  Transfer.ledger_release st.ledger ~dying:`Old;
   List.iter
-    (fun (im : P.image) ->
-      (* the old image dies: detach any frames it shares with the new image
-         (zero-copy remap) so the survivor owns its memory *)
-      ignore (Aspace.detach_shared im.P.i_aspace);
-      if K.alive im.P.i_proc then K.kill_process k im.P.i_proc ~status:0)
+    (fun (im : P.image) -> if K.alive im.P.i_proc then K.kill_process k im.P.i_proc ~status:0)
     (images st.t);
   (* the update window is over: close the transfer's dirty epoch on the
      surviving images so the next update starts it afresh *)
@@ -1449,6 +1450,7 @@ let run_attempt t ~pol ~attempt ~prior ?fault ?on_precopy_round target =
       teardown_from = t0;
       sessions = Hashtbl.create 8;
       transfers = [];
+      ledger = Transfer.ledger ();
       transfer_conflicts = [];
       next = None;
     }

@@ -138,6 +138,11 @@ type report = {
   replay_conflicts : Mcr_replay.Replayer.conflict list;
   transfer_conflicts : Mcr_trace.Transfer.conflict list;
   transfers : (Mcr_replay.Logdefs.proc_key * Mcr_trace.Transfer.outcome) list;
+  remap_ledger : Mcr_trace.Transfer.ledger;
+      (** Every (old page, new page) pair the zero-copy remap shared during
+          this attempt (empty with {!Policy.t.transfer_remap} off). The
+          attempt un-shared the dying side before returning, so
+          {!Mcr_trace.Transfer.ledger_shared} is 0 on every exit path. *)
   failure : Mcr_error.rollback_reason option;
       (** Rollback cause ({!Mcr_error.to_string} renders the frozen
           human-readable form). *)

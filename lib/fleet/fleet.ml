@@ -35,6 +35,7 @@ type fmset = {
   fm_requests : Metrics.counter;
   fm_client_errors : Metrics.counter;
   fm_migrations : Metrics.counter;
+  fm_migration_read_errors : Metrics.counter;
   fm_failovers : Metrics.counter;
   fm_wave_h : Metrics.histogram;
 }
@@ -53,6 +54,7 @@ let make_fmset metrics =
     fm_requests = Metrics.counter metrics "mcr_fleet_requests_routed_total";
     fm_client_errors = Metrics.counter metrics "mcr_fleet_client_errors_total";
     fm_migrations = Metrics.counter metrics "mcr_fleet_migrations_total";
+    fm_migration_read_errors = Metrics.counter metrics "mcr_fleet_migration_read_errors_total";
     fm_failovers = Metrics.counter metrics "mcr_fleet_failovers_total";
     fm_wave_h = Metrics.histogram metrics "mcr_fleet_wave_duration_ns";
   }
@@ -255,24 +257,27 @@ let migrate_instance t i ~path =
       (match Manager.save_image inst.manager ~path with
       | Error e -> back_out e
       | Ok img -> (
-          match fresh_instance t i ~version_tag:(Image.version_tag img) with
-          | Error e -> back_out e
-          | Ok (kernel, m) -> (
-              (* install from the on-disk bytes — what a cross-host
-                 migration actually ships (integrity checks included) *)
-              let shipped =
-                match Image.read ~path with Ok on_disk -> on_disk | Error _ -> img
-              in
-              match Manager.restore_image m shipped with
+          (* install from the on-disk bytes — what a cross-host migration
+             actually ships (integrity checks included); bytes that do not
+             read back cancel the migration *)
+          match Image.read ~path with
+          | Error e ->
+              Metrics.incr t.fmset.fm_migration_read_errors;
+              back_out ("migration image did not read back: " ^ Image.error_to_string e)
+          | Ok shipped -> (
+              match fresh_instance t i ~version_tag:(Image.version_tag img) with
               | Error e -> back_out e
-              | Ok _report ->
-                  (* the drained original is abandoned: its kernel simply
-                     stops being driven *)
-                  t.instances.(i) <- { id = i; kernel; manager = m };
-                  Metrics.incr t.fmset.fm_migrations;
-                  Balancer.set_state t.balancer i Balancer.Serving;
-                  refresh_serving t;
-                  Ok (Image.fingerprint img))))
+              | Ok (kernel, m) -> (
+                  match Manager.restore_image m shipped with
+                  | Error e -> back_out e
+                  | Ok _report ->
+                      (* the drained original is abandoned: its kernel
+                         simply stops being driven *)
+                      t.instances.(i) <- { id = i; kernel; manager = m };
+                      Metrics.incr t.fmset.fm_migrations;
+                      Balancer.set_state t.balancer i Balancer.Serving;
+                      refresh_serving t;
+                      Ok (Image.fingerprint img)))))
 
 type standby = {
   sb_for : int;

@@ -114,7 +114,11 @@ val migrate_instance : t -> int -> path:string -> (int, string) result
     on-disk bytes over it, swap the fresh instance into slot [i] and
     rejoin the balancer. Returns the verified fingerprint; on any failure
     the original instance returns to its previous balancer state and the
-    fleet is unchanged. The drained kernel is abandoned. *)
+    fleet is unchanged. A saved image that does not read back from [path]
+    is such a failure (the typed {!Mcr_image.Image.error}, rendered, is
+    the message): the in-memory image is never installed in its place.
+    Each one counts in [mcr_fleet_migration_read_errors_total]. The
+    drained kernel is abandoned. *)
 
 type standby
 (** A pre-restored instance held out of rotation: a fresh kernel already

@@ -185,12 +185,40 @@ type page_contrib = {
   mutable pg_parts : (int * int * int) list; (* shard, words, charged ns *)
 }
 
+(* The per-update remap ledger: every (old page, new page) pair the remap
+   pass shared a frame between, newest first. Fork sharing never enters it,
+   so it names exactly the sharing that must not outlive the window. *)
+type remap_pair = {
+  old_space : Aspace.t;
+  old_page : Addr.t;
+  new_space : Aspace.t;
+  new_page : Addr.t;
+}
+
+type ledger = { mutable pairs : remap_pair list }
+
+let ledger () = { pairs = [] }
+let ledger_size l = List.length l.pairs
+
+let pair_shared p = Aspace.same_frame p.old_space p.old_page p.new_space p.new_page
+
+let ledger_shared l = List.length (List.filter pair_shared l.pairs)
+
+let ledger_release l ~dying =
+  List.iter
+    (fun p ->
+      if pair_shared p then
+        match dying with
+        | `Old -> ignore (Aspace.unshare_page p.old_space p.old_page)
+        | `New -> ignore (Aspace.unshare_page p.new_space p.new_page))
+    l.pairs
+
 type state = {
   old_image : P.image;
   new_image : P.image;
   analysis : Objgraph.t;
   dirty_only : bool;
-  remap : bool;
+  remap : ledger option;
   precopy : precopy option;
   plan : Objgraph.shard_plan;
   shard_cost : int array; (* per-shard copy charge *)
@@ -425,7 +453,7 @@ let read_old st (o : obj) =
    inherited pages as dirty forever without polluting any write epoch. *)
 
 let poison_pages st addr ~words =
-  if st.remap && words > 0 then begin
+  if Option.is_some st.remap && words > 0 then begin
     let first = Addr.page_of addr
     and last = Addr.page_of (Addr.add addr ((words * Addr.word_size) - 1)) in
     for pn = first to last do
@@ -488,7 +516,7 @@ let charge_copy st ~prepaid (o : obj) words =
    its (page-aligned congruent) source page, the remap pass below retracts
    the copy charge and shares the frame instead. *)
 let record_verbatim st (o : obj) dst_addr n ~prepaid =
-  if st.remap && n > 0 then begin
+  if Option.is_some st.remap && n > 0 then begin
     let twn = (K.costs st.old_image.P.i_kernel).Costs.transfer_word_ns in
     let s = shard_of st o in
     let delta = dst_addr - o.addr in
@@ -759,7 +787,7 @@ let fixup_object st (o : obj) =
    the committed image byte-identical by construction — equality is checked
    on the final bytes, so the pass only ever changes the virtual-time cost
    and the physical backing, never observable content. *)
-let remap_pass st =
+let remap_pass st ledger =
   let src = st.old_image.P.i_aspace and dst = st.new_image.P.i_aspace in
   let costs = K.costs st.old_image.P.i_kernel in
   let pw = Addr.words_per_page in
@@ -791,6 +819,9 @@ let remap_pass st =
           && page_words src src_page = page_words dst dst_page
         then begin
           Aspace.share_page ~src src_page ~dst dst_page;
+          ledger.pairs <-
+            { old_space = src; old_page = src_page; new_space = dst; new_page = dst_page }
+            :: ledger.pairs;
           List.iter
             (fun (s, w, charged) ->
               st.cost <- st.cost - charged;
@@ -804,7 +835,7 @@ let remap_pass st =
       end)
     pages
 
-let run ~old_image ~new_image ~analysis ?(dirty_only = true) ?(remap = false) ?precopy
+let run ~old_image ~new_image ~analysis ?(dirty_only = true) ?remap ?precopy
     ?(workers = 1) ?trace ?fault () =
   (* Sharding is a cost-accounting overlay on the sequential transfer: the
      walk below runs in canonical address order for every [workers] value
@@ -870,7 +901,7 @@ let run ~old_image ~new_image ~analysis ?(dirty_only = true) ?(remap = false) ?p
   Objgraph.iter_reachable analysis (force_copy_pin_referrers st);
   Objgraph.iter_reachable analysis (copy_object st);
   Objgraph.iter_reachable analysis (fixup_object st);
-  if st.remap then remap_pass st;
+  Option.iter (remap_pass st) st.remap;
   let live_words = analysis.Objgraph.reachable_words in
   let w = plan.Objgraph.sp_workers in
   let costs = K.costs old_image.P.i_kernel in

@@ -69,7 +69,7 @@ type outcome = {
   precopied_words : int;
   remapped_pages : int;
       (** Destination pages backed by a shared source frame instead of a
-          private copy (zero-copy remap; 0 unless [run ~remap:true]). *)
+          private copy (zero-copy remap; 0 unless [run] is given [~remap]). *)
   remapped_words : int;
       (** Words whose per-word copy charge was retracted in favour of a
           per-page {!Mcr_simos.Costs.t.remap_page_ns}. Counted inside
@@ -139,12 +139,40 @@ val precopy_round :
 val precopy_rounds : precopy -> int
 (** Rounds staged into this session so far. *)
 
+(** {1 Remap ledger}
+
+    The zero-copy remap shares frames between the old and the new image;
+    fork shares frames too, within one version, and that sharing is legal.
+    The ledger tells the two apart: it records every (old page, new page)
+    pair one update's {!run}s remapped, so the window can close by
+    un-sharing exactly those pages and a witness can check that none is
+    still shared afterwards. *)
+
+type ledger
+
+val ledger : unit -> ledger
+(** An empty ledger, one per update attempt. *)
+
+val ledger_size : ledger -> int
+(** Pairs recorded: the sum of the runs' [remapped_pages]. *)
+
+val ledger_shared : ledger -> int
+(** Pairs whose two pages are still backed by one frame
+    ({!Mcr_vmem.Aspace.same_frame}). Once the window has closed this must
+    be 0: no frame is shared between the old and the new image. *)
+
+val ledger_release : ledger -> dying:[ `Old | `New ] -> unit
+(** Close the window: for every pair still sharing a frame, give the page
+    on the [dying] side a private frame ({!Mcr_vmem.Aspace.unshare_page}),
+    so the surviving image owns its memory. The old images die on commit,
+    the new ones on rollback. Pages shared only by fork are left alone. *)
+
 val run :
   old_image:Mcr_program.Progdef.image ->
   new_image:Mcr_program.Progdef.image ->
   analysis:Objgraph.t ->
   ?dirty_only:bool ->
-  ?remap:bool ->
+  ?remap:ledger ->
   ?precopy:precopy ->
   ?workers:int ->
   ?trace:Mcr_obs.Trace.t ->
@@ -157,17 +185,18 @@ val run :
     caller, not here — parallel multiprocess transfer takes the maximum
     across pairs, not the sum.
 
-    [remap] (default false) enables the zero-copy page remap: after copy
+    [remap] (default: none) enables the zero-copy page remap: after copy
     and fixup, destination pages that are byte-identical to a page-aligned
     congruent source page drop their private frame and share the source's
     ({!Mcr_vmem.Aspace.share_page}, copy-on-write afterwards); their
     per-word charge is retracted and one
-    {!Mcr_simos.Costs.t.remap_page_ns} charged instead. Because
-    eligibility is decided on the post-copy bytes, the committed image is
-    byte-identical with and without [remap] for every [workers] value.
-    The manager must {!Mcr_vmem.Aspace.detach_shared} the dying side when
-    the window closes (rollback: new members; commit: old images) so no
-    shared frame outlives the update.
+    {!Mcr_simos.Costs.t.remap_page_ns} charged instead. Every shared
+    (source page, destination page) pair is recorded in the given ledger.
+    Because eligibility is decided on the post-copy bytes, the committed
+    image is byte-identical with and without [remap] for every [workers]
+    value. The manager must {!ledger_release} the dying side when the
+    window closes (rollback: new members; commit: old images) so no remap
+    outlives the update.
 
     All stores into the new image (copy, transformation, handler output and
     fixup) are untracked — they must not pollute any consumer's dirty

@@ -1,11 +1,12 @@
-(* Pages are split from their backing frames so state transfer can remap a
-   byte-identical page into the new version's address space: both pages then
-   reference one refcounted frame, and the first subsequent write to either
-   side copies the frame (copy-on-write) so neither image can mutate the
-   other. Dirtiness is tracked per page as a last-write generation against
-   the space-wide write sequence; consumers own named epochs (saved marks)
-   instead of one global soft-dirty bit, so the startup checkpoint, pre-copy
-   delta rounds and benches cannot clobber each other's view. *)
+(* Pages are split from their backing frames so fork ([clone]) and state
+   transfer (remapping a byte-identical page into the new version's address
+   space) can share one refcounted frame between pages; the first
+   subsequent write to either side copies the frame (copy-on-write) so
+   neither space can mutate the other. Dirtiness is tracked per page as a
+   last-write generation against the space-wide write sequence; consumers
+   own named epochs (saved marks) instead of one global soft-dirty bit, so
+   the startup checkpoint, pre-copy delta rounds and benches cannot clobber
+   each other's view. *)
 
 type frame = { mutable words : int array; mutable refs : int }
 
@@ -39,13 +40,17 @@ let create ?(layout_bias = 0) () =
 
 let layout_bias t = t.bias
 
+(* Fork is copy-on-write: every cloned page references its parent's frame
+   and the first store through either side copies it ([cow] below). Dirty
+   stamps and epochs are per page and per space, so they are copied. *)
 let clone t =
   let pages = Hashtbl.create (Hashtbl.length t.pages) in
   Hashtbl.iter
     (fun k p ->
+      p.frame.refs <- p.frame.refs + 1;
       Hashtbl.add pages k
         {
-          frame = { words = Array.copy p.frame.words; refs = 1 };
+          frame = p.frame;
           touched = p.touched;
           last_write_seq = p.last_write_seq;
           inherited = p.inherited;
@@ -374,20 +379,19 @@ let share_page ~src src_addr ~dst dst_addr =
   dp.touched <- true;
   dp.inherited <- true
 
-let shared_frame_count t =
-  Hashtbl.fold (fun _ p acc -> if p.frame.refs > 1 then acc + 1 else acc) t.pages 0
+let same_frame a a_addr b b_addr =
+  match
+    (Hashtbl.find_opt a.pages (Addr.page_of a_addr), Hashtbl.find_opt b.pages (Addr.page_of b_addr))
+  with
+  | Some pa, Some pb -> pa.frame == pb.frame
+  | _ -> false
 
-let detach_shared t =
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun _ p ->
-      if p.frame.refs > 1 then begin
-        incr n;
-        p.frame.refs <- p.frame.refs - 1;
-        p.frame <- { words = Array.copy p.frame.words; refs = 1 }
-      end)
-    t.pages;
-  !n
+let unshare_page t a =
+  match Hashtbl.find_opt t.pages (Addr.page_of a) with
+  | Some p when p.frame.refs > 1 ->
+      cow p;
+      true
+  | Some _ | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint export/import *)

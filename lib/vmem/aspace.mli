@@ -5,11 +5,12 @@
     that makes conservative tracing necessary is real here, not simulated
     away.
 
-    Pages are views onto refcounted {e frames}. Normally a page owns its
-    frame exclusively; state transfer may {!share_page} a byte-identical
-    frame into another address space (the zero-copy remap), after which any
-    write through either page copies the frame first (copy-on-write), so
-    neither image can mutate the other.
+    Pages are views onto refcounted {e frames}. Two things share a frame
+    between pages: fork ({!clone}) and state transfer, which may
+    {!share_page} a byte-identical frame into another address space (the
+    zero-copy remap). After either, any write through either page copies
+    the frame first (copy-on-write), so neither space can mutate the
+    other.
 
     Dirtiness mirrors the Linux soft-dirty mechanism MCR builds on, but is
     generation-based: every tracked write bumps the space-wide {!write_seq}
@@ -36,8 +37,12 @@ val create : ?layout_bias:int -> unit -> t
 val layout_bias : t -> int
 
 val clone : t -> t
-(** Deep copy: pages, regions, epochs and dirty stamps. Every cloned page
-    gets a private frame. Used by process spawn (the fork analog). *)
+(** Copy-on-write fork: regions, epochs, the write sequence and every
+    page's dirty stamps are copied, but each cloned page references its
+    parent's frame (refcount +1) instead of copying it. The first store
+    through either page gives that page a private frame, so parent and
+    child never see each other's writes. Used by process spawn (the fork
+    analog). *)
 
 type placement =
   | Fixed of Addr.t  (** Map exactly here (MAP_FIXED); fails on overlap. *)
@@ -161,15 +166,18 @@ val share_page : src:t -> Addr.t -> dst:t -> Addr.t -> unit
     @raise Invalid_argument unless both addresses are page-aligned.
     @raise Fault if either page is unmapped. *)
 
-val shared_frame_count : t -> int
-(** Number of pages whose frame is shared with another page ([refs > 1]) —
-    the refcount-leak witness: outside an update window this must be 0. *)
+val same_frame : t -> Addr.t -> t -> Addr.t -> bool
+(** [same_frame a a_addr b b_addr] is whether the page of [a] containing
+    [a_addr] and the page of [b] containing [b_addr] are backed by one
+    frame. False when either page is unmapped. *)
 
-val detach_shared : t -> int
-(** Give every shared page a private frame copy and release the shared
-    reference; returns the number of pages detached. The manager calls
-    this on the dying side of an update (new members on rollback, old
-    images on commit) so frame sharing never outlives the window. *)
+val unshare_page : t -> Addr.t -> bool
+(** Give the page containing the address a private copy of its frame if
+    the frame is shared, releasing the shared reference; true when it
+    copied. Contents and dirty state are unchanged. False (a no-op) when
+    the frame is already private or the page is unmapped. State transfer
+    un-shares each page it remapped on the dying side of an update, so no
+    remap outlives the window. *)
 
 (** {2 Checkpoint export/import}
 

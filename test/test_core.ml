@@ -200,7 +200,7 @@ let test_back_to_back_reflects_mutations () =
   (* satellite regression: an update's own stores must not pollute the new
      image's dirty tracking, so an immediate second update pays only for
      genuinely mutated pages — the rest remap as shared frames. *)
-  let m3, r1, r2_quiet = back_to_back ~traffic_between:false () in
+  let _, r1, r2_quiet = back_to_back ~traffic_between:false () in
   let transferred2 = sum_outcome (fun o -> o.Transfer.transferred_words) r2_quiet in
   let remapped2 = sum_outcome (fun o -> o.Transfer.remapped_words) r2_quiet in
   Alcotest.(check bool) "second update remaps pages" true (remapped2 > 0);
@@ -214,12 +214,17 @@ let test_back_to_back_reflects_mutations () =
        (copied_words r2_quiet) (copied_words r1))
     true
     (copied_words r2_quiet <= copied_words r1);
-  (* no shared frame outlives the update window *)
+  (* no remap outlives the update window: every page the remap shared is
+     in the ledger, and none of those pairs still shares a frame (fork
+     sharing within one version is legal and not in the ledger) *)
   List.iter
-    (fun (im : P.image) ->
+    (fun (r : Manager.report) ->
+      Alcotest.(check int) "ledger records every remapped page"
+        (sum_outcome (fun o -> o.Transfer.remapped_pages) r)
+        (Transfer.ledger_size r.Manager.remap_ledger);
       Alcotest.(check int) "no shared frames after commit" 0
-        (Aspace.shared_frame_count im.P.i_aspace))
-    (Manager.images m3);
+        (Transfer.ledger_shared r.Manager.remap_ledger))
+    [ r1; r2_quiet ];
   (* the flight record and metrics carry the same counters *)
   Alcotest.(check int) "flight remapped_words" remapped2 r2_quiet.Manager.flight.Flight.f_remapped_words;
   Alcotest.(check bool) "remap metric counted" true
@@ -236,6 +241,23 @@ let test_back_to_back_reflects_mutations () =
        (copied_words r2_quiet) (copied_words r2_busy))
     true
     (copied_words r2_quiet <= copied_words r2_busy)
+
+let test_rollback_unshares_remap () =
+  (* a rollback after the remap pass: the dying new image must hand every
+     remapped frame back to the surviving old image *)
+  let kernel = K.create () in
+  let m = Testbed.launch kernel Testbed.Vsftpd in
+  Manager.set_policy m (Policy.with_transfer_remap true (Manager.policy m));
+  ignore (Testbed.benchmark kernel Testbed.Vsftpd ~scale:20 ());
+  let m2, r1 = Manager.update m (Testbed.final_version Testbed.Vsftpd) in
+  Alcotest.(check bool) "first update commits" true r1.Manager.success;
+  let fault = Mcr_fault.Fault.script [ Mcr_fault.Fault.Reinit_hang ] in
+  let _, r2 = Manager.update m2 ~fault (Testbed.final_version Testbed.Vsftpd) in
+  Alcotest.(check bool) "second update rolls back" false r2.Manager.success;
+  Alcotest.(check bool) "the rolled-back attempt remapped pages" true
+    (Transfer.ledger_size r2.Manager.remap_ledger > 0);
+  Alcotest.(check int) "no shared frames after rollback" 0
+    (Transfer.ledger_shared r2.Manager.remap_ledger)
 
 let test_remap_ctl_command () =
   let kernel, m = boot () in
@@ -277,5 +299,7 @@ let () =
           Alcotest.test_case "back-to-back updates copy only mutations" `Quick
             test_back_to_back_reflects_mutations;
           Alcotest.test_case "REMAP ctl command" `Quick test_remap_ctl_command;
+          Alcotest.test_case "rollback un-shares remapped frames" `Quick
+            test_rollback_unshares_remap;
         ] );
     ]

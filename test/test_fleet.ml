@@ -436,18 +436,25 @@ let prop_dirty_transfer_byte_identical =
           if Fleet.image_fingerprint f 0 <> fp then
             QCheck.Test.fail_reportf "%s commit is not byte-identical to the full transfer" name)
         modes;
-      (* whatever a seeded fault does to a remapping update — rollback or
-         commit — no shared frame may outlive the window *)
-      let faulted =
-        mk (base |> Policy.with_transfer_remap true |> Policy.with_fault_seed (Some seed))
+      (* the cross-version update shares no page; a self-update on the
+         remapping instance does. Its commit, and whatever a seeded fault
+         does to the next one (rollback or commit), must leave no remapped
+         frame shared past the window *)
+      let no_remap_leak name (r : Manager.report) =
+        let n = Mcr_trace.Transfer.ledger_shared r.Manager.remap_ledger in
+        if n <> 0 then QCheck.Test.fail_reportf "%s leaked %d shared frames" name n
       in
-      ignore (Fleet.update_instance faulted 0 `Target);
-      List.iter
-        (fun (im : Mcr_program.Progdef.image) ->
-          let n = Aspace.shared_frame_count im.Mcr_program.Progdef.i_aspace in
-          if n <> 0 then
-            QCheck.Test.fail_reportf "faulted remap update leaked %d shared frames" n)
-        (Manager.images (Fleet.manager faulted 0));
+      let remapping = List.assoc "dirty+remap" modes in
+      let r = Fleet.update_instance remapping 0 `Target in
+      if not r.Manager.success then QCheck.Test.fail_reportf "remapping self-update rolled back";
+      if Mcr_trace.Transfer.ledger_size r.Manager.remap_ledger = 0 then
+        QCheck.Test.fail_reportf "remapping self-update shared no page";
+      no_remap_leak "remapping self-update" r;
+      Fleet.set_policy remapping
+        (Fleet_policy.with_update
+           (base |> Policy.with_transfer_remap true |> Policy.with_fault_seed (Some seed))
+           (Fleet.policy remapping));
+      no_remap_leak "faulted remapping update" (Fleet.update_instance remapping 0 `Target);
       true)
 
 (* Property: the frame decoders are total. *)

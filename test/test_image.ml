@@ -179,6 +179,151 @@ let test_oversized_lengths () =
     (Image.Malformed { section = "proc"; reason = "proc section p0 is self-inconsistent" })
     (sealed (header 2 ^ section "META" "meta" meta ^ section "PROC" "p0" proc))
 
+(* {1 Decoder totality fuzz}
+
+   Mutations of real [encode] output of every server: raw bit flips,
+   truncations and 8-byte field rewrites (caught by the framing and the
+   hashes), and the same mutations inside one section's payload with the
+   section hash and trailer re-sealed, so they reach the payload parsers.
+   Rewritten values include max_int, min_int, negatives and lengths near
+   the remaining byte count. [decode] must return [Ok] or a typed error;
+   it must never raise. *)
+
+let split_sections enc =
+  let u64 pos = Int64.to_int (String.get_int64_le enc pos) in
+  let count = u64 16 in
+  let rec go pos i acc =
+    if i = count then List.rev acc
+    else
+      let tag = String.sub enc pos 4 in
+      let name = String.sub enc (pos + 12) (u64 (pos + 4)) in
+      let pl_pos = pos + 12 + String.length name in
+      let payload = String.sub enc (pl_pos + 8) (u64 pl_pos) in
+      go (pl_pos + 8 + String.length payload + 8) (i + 1) ((tag, name, payload) :: acc)
+  in
+  go 24 0 []
+
+let seal ~count sections =
+  let body =
+    "MCRIMAGE" ^ u64_le Image.format_version ^ u64_le count
+    ^ String.concat ""
+        (List.map
+           (fun (tag, name, payload) ->
+             tag ^ w_str name ^ w_str payload ^ u64_le (Fnv.string payload))
+           sections)
+  in
+  body ^ u64_le (Fnv.string body)
+
+let fuzz_corpus =
+  lazy
+    (List.map
+       (fun server ->
+         let kernel = K.create () in
+         let m = Testbed.launch kernel server in
+         ignore (Testbed.benchmark kernel server ~scale:50 ());
+         match Manager.save_image m ~path:(tmp_image "fuzz") with
+         | Error e -> failwith e
+         | Ok img ->
+             let enc = Image.encode img in
+             let sections = split_sections enc in
+             if seal ~count:(List.length sections) sections <> enc then
+               failwith "fuzz corpus: section split does not re-seal to the encoding";
+             (Testbed.name server, enc, Array.of_list sections))
+       Testbed.all)
+
+(* Offsets are taken modulo the room available; a negative offset counts
+   back from the end. Most of a PROC payload is region words, so the
+   generator aims two edits in three at either end, where the counts and
+   length fields sit. *)
+type edit =
+  | Flip of int * int  (* byte offset, bit *)
+  | Truncate of int
+  | Rewrite of int * int  (* byte offset, 64-bit value *)
+
+type mutation =
+  | Raw of edit
+  | In_payload of int * edit  (* section index; re-sealed *)
+  | Section_count of int  (* re-sealed *)
+
+let pp_edit = function
+  | Flip (off, bit) -> Printf.sprintf "flip bit %d @%d" bit off
+  | Truncate n -> Printf.sprintf "truncate %d" n
+  | Rewrite (off, v) -> Printf.sprintf "rewrite @%d := %d" off v
+
+let pp_mutation = function
+  | Raw e -> pp_edit e
+  | In_payload (i, e) -> Printf.sprintf "section %d: %s" i (pp_edit e)
+  | Section_count n -> Printf.sprintf "section count := %d" n
+
+let gen_mutation =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [
+        oneofl
+          [ max_int; min_int; -1; -8; 0; 1; 7; 8; 255; 1 lsl 31; 1 lsl 32; (max_int / 8) + 2 ];
+        int;
+        small_nat;
+      ]
+  in
+  let offset = oneof [ int_bound 512; map (fun n -> -1 - n) (int_bound 4096); nat ] in
+  let edit =
+    frequency
+      [
+        (3, map (fun (off, bit) -> Flip (off, bit)) (pair offset (int_bound 7)));
+        (2, map (fun n -> Truncate n) nat);
+        (4, map (fun (off, v) -> Rewrite (off, v)) (pair offset value));
+      ]
+  in
+  frequency
+    [
+      (3, map (fun e -> Raw e) edit);
+      (6, map (fun (i, e) -> In_payload (i, e)) (pair nat edit));
+      (1, map (fun v -> Section_count v) value);
+    ]
+
+let locate ~room off = if off >= 0 then off mod room else room - 1 - ((-1 - off) mod room)
+
+let apply_edit s = function
+  | Flip (off, bit) ->
+      if s = "" then s
+      else
+        let b = Bytes.of_string s in
+        let i = locate ~room:(Bytes.length b) off in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+        Bytes.to_string b
+  | Truncate n -> String.sub s 0 (n mod (String.length s + 1))
+  | Rewrite (off, v) ->
+      if String.length s < 8 then s
+      else
+        let b = Bytes.of_string s in
+        Bytes.set_int64_le b (locate ~room:(String.length s - 7) off) (Int64.of_int v);
+        Bytes.to_string b
+
+let apply_mutation enc sections = function
+  | Raw e -> apply_edit enc e
+  | In_payload (i, e) ->
+      let i = i mod Array.length sections in
+      let sections = Array.copy sections in
+      let tag, name, payload = sections.(i) in
+      sections.(i) <- (tag, name, apply_edit payload e);
+      seal ~count:(Array.length sections) (Array.to_list sections)
+  | Section_count n -> seal ~count:n (Array.to_list sections)
+
+let prop_decode_total =
+  QCheck.Test.make ~name:"decode is total on mutated images" ~count:300
+    (QCheck.make
+       ~print:(fun (k, m) -> Printf.sprintf "server %d, %s" k (pp_mutation m))
+       QCheck.Gen.(pair nat gen_mutation))
+    (fun (k, m) ->
+      let corpus = Lazy.force fuzz_corpus in
+      let name, enc, sections = List.nth corpus (k mod List.length corpus) in
+      match Image.decode (apply_mutation enc sections m) with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "%s image, %s: decode raised %s" name (pp_mutation m)
+            (Printexc.to_string e))
+
 (* {1 Restart-from-file} *)
 
 let test_restore_under_load () =
@@ -321,6 +466,29 @@ let test_fleet_migrate () =
     (Some 1)
     (Metrics.find_counter (Fleet.metrics_snapshot fleet) "mcr_fleet_migrations_total")
 
+let test_fleet_migrate_unreadable () =
+  (* the save succeeds but the bytes never reach the disk: the migration
+     must back out with the typed read error, not install the in-memory
+     image as if the round-trip had been verified *)
+  let fleet = Fleet.of_testbed Testbed.Nginx ~n:2 in
+  let fp = Fleet.image_fingerprint fleet 0 in
+  let before = Mcr_fleet.Balancer.state (Fleet.balancer fleet) 0 in
+  (match Fleet.migrate_instance fleet 0 ~path:"/dev/null" with
+  | Ok _ -> Alcotest.fail "migration through /dev/null succeeded"
+  | Error e ->
+      Alcotest.(check bool) ("typed read error: " ^ e) true
+        (contains e (Image.error_to_string (Image.Truncated { section = "header" }))));
+  Alcotest.(check bool) "balancer state restored" true
+    (Mcr_fleet.Balancer.state (Fleet.balancer fleet) 0 = before);
+  Alcotest.(check int) "original instance kept" fp (Fleet.image_fingerprint fleet 0);
+  Alcotest.(check bool) "original instance still serves" true (Fleet.healthy fleet 0);
+  Alcotest.(check int) "both instances in rotation" 2 (Fleet.serving fleet);
+  let counter name = Metrics.find_counter (Fleet.metrics_snapshot fleet) name in
+  Alcotest.(check (option int)) "read failure counted" (Some 1)
+    (counter "mcr_fleet_migration_read_errors_total");
+  Alcotest.(check (option int)) "no migration counted" (Some 0)
+    (counter "mcr_fleet_migrations_total")
+
 let test_fleet_standby_failover () =
   let fleet = Fleet.of_testbed Testbed.Httpd ~n:2 in
   let sb =
@@ -422,6 +590,7 @@ let () =
           Alcotest.test_case "corruption goldens" `Quick test_corruption_goldens;
           Alcotest.test_case "unknown section skipped" `Quick test_unknown_section_skipped;
           Alcotest.test_case "oversized length fields" `Quick test_oversized_lengths;
+          QCheck_alcotest.to_alcotest prop_decode_total;
         ] );
       ( "restore",
         [
@@ -440,6 +609,8 @@ let () =
         [
           Alcotest.test_case "migrate carries state across kernels" `Quick
             test_fleet_migrate;
+          Alcotest.test_case "migrate through unreadable path backs out" `Quick
+            test_fleet_migrate_unreadable;
           Alcotest.test_case "standby failover" `Quick test_fleet_standby_failover;
         ] );
       ( "replay",

@@ -157,13 +157,17 @@ let test_reads_do_not_dirty () =
 (* ------------------------------------------------------------------ *)
 (* Clone and cross-space copy *)
 
-let test_clone_deep () =
+let test_clone_shares_frames () =
   let sp = Aspace.create () in
   let base = Aspace.map sp (Aspace.Near Region.Heap) ~size:4096 Region.Heap in
   Aspace.write_word sp base 99;
   let child = Aspace.clone sp in
+  Alcotest.(check bool) "child references the parent's frame" true
+    (Aspace.same_frame sp base child base);
   Alcotest.(check int) "child sees value" 99 (Aspace.read_word child base);
   Aspace.write_word child base 1;
+  Alcotest.(check bool) "a store gives the child a private frame" false
+    (Aspace.same_frame sp base child base);
   Alcotest.(check int) "parent unaffected" 99 (Aspace.read_word sp base);
   Aspace.write_word sp base 2;
   Alcotest.(check int) "child unaffected" 1 (Aspace.read_word child base)
@@ -244,10 +248,9 @@ let share_setup () =
 
 let test_share_page_and_counts () =
   let a, b, src, dst = share_setup () in
-  Alcotest.(check int) "no sharing before" 0 (Aspace.shared_frame_count b);
+  Alcotest.(check bool) "no sharing before" false (Aspace.same_frame a src b dst);
   Aspace.share_page ~src:a src ~dst:b dst;
-  Alcotest.(check int) "dst shares" 1 (Aspace.shared_frame_count b);
-  Alcotest.(check int) "src shares" 1 (Aspace.shared_frame_count a);
+  Alcotest.(check bool) "one frame after" true (Aspace.same_frame a src b dst);
   Alcotest.(check bool) "dst marked inherited" true (Aspace.page_inherited b dst);
   for i = 0 to Addr.words_per_page - 1 do
     Alcotest.(check int) "content preserved" (i * 7)
@@ -261,22 +264,25 @@ let test_share_page_cow_isolates () =
   Aspace.write_word a src 999;
   Alcotest.(check int) "dst unaffected by src write" 0 (Aspace.read_word b dst);
   Alcotest.(check int) "src sees own write" 999 (Aspace.read_word a src);
-  Alcotest.(check int) "sharing broken by COW" 0 (Aspace.shared_frame_count a);
+  Alcotest.(check bool) "sharing broken by COW" false (Aspace.same_frame a src b dst);
   (* share again, write through the destination this time, untracked *)
   Aspace.share_page ~src:a src ~dst:b dst;
   Aspace.write_word_untracked b (Addr.add_words dst 1) 555;
   Alcotest.(check int) "src unaffected by dst write" 999 (Aspace.read_word a src);
   Alcotest.(check int) "dst sees own write" 555 (Aspace.read_word b (Addr.add_words dst 1))
 
-let test_detach_shared () =
+let test_unshare_page () =
   let a, b, src, dst = share_setup () in
   Aspace.share_page ~src:a src ~dst:b dst;
-  Alcotest.(check int) "detach count" 1 (Aspace.detach_shared b);
-  Alcotest.(check int) "b private again" 0 (Aspace.shared_frame_count b);
-  Alcotest.(check int) "a private again" 0 (Aspace.shared_frame_count a);
-  Alcotest.(check int) "content survives detach" (7 * 3)
+  Alcotest.(check bool) "unshare copies" true (Aspace.unshare_page b dst);
+  Alcotest.(check bool) "private again" false (Aspace.same_frame a src b dst);
+  Alcotest.(check int) "content survives unshare" (7 * 3)
     (Aspace.read_word b (Addr.add_words dst 3));
-  Alcotest.(check int) "detach is idempotent" 0 (Aspace.detach_shared b)
+  Alcotest.(check bool) "unshare is idempotent" false (Aspace.unshare_page b dst);
+  Alcotest.(check bool) "the source's reference count dropped back" false
+    (Aspace.unshare_page a src);
+  Alcotest.(check bool) "unmapped page is a no-op" false
+    (Aspace.unshare_page b (Addr.add dst (16 * Addr.page_size)))
 
 let test_share_page_rejects_misaligned () =
   let a, b, src, dst = share_setup () in
@@ -288,7 +294,7 @@ let test_unmap_shared_releases_ref () =
   let a, b, src, dst = share_setup () in
   Aspace.share_page ~src:a src ~dst:b dst;
   Aspace.unmap b dst;
-  Alcotest.(check int) "src sole owner after unmap" 0 (Aspace.shared_frame_count a)
+  Alcotest.(check bool) "src sole owner after unmap" false (Aspace.unshare_page a src)
 
 let test_mark_inherited_survives_tracking () =
   let sp = Aspace.create () in
@@ -331,6 +337,197 @@ let prop_dirty_iff_written =
           (List.map (fun off -> Addr.page_base (Addr.add_words base off)) offsets)
       in
       Aspace.epoch_dirty_pages sp ~name:"startup" = expected)
+
+(* Property: copy-on-write fork is observably a deep copy. Random operation
+   sequences run over a fork tree (clones of clones) and, in lockstep, over a
+   model in which every space owns private page arrays. Every space must
+   match its model: contents (so no store leaks into another space), write
+   sequence, per-epoch dirty page lists (so a parent's store after a clone
+   never dirties the child's epoch), inherited taint and touched bytes. *)
+
+type mpage = {
+  mw : int array;
+  mutable mlast : int;
+  mutable mtouched : bool;
+  mutable minh : bool;
+}
+
+type mspace = {
+  mpages : (int, mpage) Hashtbl.t;  (* page number -> page *)
+  mutable mseq : int;
+  mepochs : (string, int) Hashtbl.t;
+}
+
+type fork_op =
+  | Clone of int
+  | Write of int * int * int * int  (* space, region, word offset, value *)
+  | Write_untracked of int * int * int * int
+  | Copy of bool * (int * int * int) * (int * int * int) * int
+      (* tracked; (space, region, offset) source and destination; words *)
+  | Share of (int * int * int) * (int * int * int)  (* (space, region, page) *)
+  | Unmap of int * int
+  | Epoch of int * int  (* space, epoch name index *)
+
+let fork_regions = 3
+let region_pages = 2
+let region_words = region_pages * Addr.words_per_page
+let region_base r = (r + 1) * 0x10000
+let epoch_names = [| "a"; "b" |]
+
+let pp_fork_op = function
+  | Clone i -> Printf.sprintf "clone %d" i
+  | Write (i, r, o, v) -> Printf.sprintf "write %d r%d+%d := %d" i r o v
+  | Write_untracked (i, r, o, v) -> Printf.sprintf "write_untracked %d r%d+%d := %d" i r o v
+  | Copy (tr, (i, r, o), (j, r', o'), n) ->
+      Printf.sprintf "copy%s %d r%d+%d -> %d r%d+%d x%d" (if tr then "_tracked" else "") i r o j
+        r' o' n
+  | Share ((i, r, p), (j, r', p')) -> Printf.sprintf "share %d r%d p%d -> %d r%d p%d" i r p j r' p'
+  | Unmap (i, r) -> Printf.sprintf "unmap %d r%d" i r
+  | Epoch (i, e) -> Printf.sprintf "epoch_reset %d %s" i epoch_names.(e)
+
+let gen_fork_op =
+  let open QCheck.Gen in
+  let sp = int_bound 7 and reg = int_bound (fork_regions - 1) in
+  let off = int_bound (region_words - 1) and page = int_bound (region_pages - 1) in
+  frequency
+    [
+      (2, map (fun i -> Clone i) sp);
+      (6, map (fun (i, r, o, v) -> Write (i, r, o, v)) (quad sp reg off small_nat));
+      (3, map (fun (i, r, o, v) -> Write_untracked (i, r, o, v)) (quad sp reg off small_nat));
+      ( 3,
+        map
+          (fun (tr, s, d, n) -> Copy (tr, s, d, n))
+          (quad bool (triple sp reg off) (triple sp reg off) (int_range 1 600)) );
+      (2, map (fun (s, d) -> Share (s, d)) (pair (triple sp reg page) (triple sp reg page)));
+      (1, map (fun (i, r) -> Unmap (i, r)) (pair sp reg));
+      (2, map (fun (i, e) -> Epoch (i, e)) (pair sp (int_bound 1)));
+    ]
+
+let prop_fork_isolation =
+  QCheck.Test.make ~name:"fork tree is observably a deep copy" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_fork_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_fork_op))
+    (fun ops ->
+      let root = Aspace.create () in
+      let mroot = { mpages = Hashtbl.create 8; mseq = 0; mepochs = Hashtbl.create 2 } in
+      for r = 0 to fork_regions - 1 do
+        ignore
+          (Aspace.map root (Aspace.Fixed (region_base r)) ~size:(region_words * 8) Region.Heap);
+        for p = 0 to region_pages - 1 do
+          Hashtbl.replace mroot.mpages
+            (Addr.page_of (region_base r) + p)
+            { mw = Array.make Addr.words_per_page 0; mlast = 0; mtouched = false; minh = false }
+        done
+      done;
+      let spaces = ref [| (root, mroot) |] in
+      let space i = !spaces.(i mod Array.length !spaces) in
+      let addr r o = Addr.add_words (region_base r) o in
+      let mpage m a = Hashtbl.find_opt m.mpages (Addr.page_of a) in
+      let mapped m r = mpage m (region_base r) <> None in
+      let mset m a v = (Option.get (mpage m a)).mw.(Addr.word_index a) <- v in
+      let mget m a = (Option.get (mpage m a)).mw.(Addr.word_index a) in
+      let mstamp m a ~tracked =
+        let p = Option.get (mpage m a) in
+        p.mtouched <- true;
+        if tracked then begin
+          m.mseq <- m.mseq + 1;
+          p.mlast <- m.mseq
+        end
+      in
+      let apply = function
+        | Clone i ->
+            let a, m = space i in
+            let pages = Hashtbl.create 8 in
+            Hashtbl.iter
+              (fun pn p -> Hashtbl.replace pages pn { p with mw = Array.copy p.mw })
+              m.mpages;
+            let m' = { mpages = pages; mseq = m.mseq; mepochs = Hashtbl.copy m.mepochs } in
+            spaces := Array.append !spaces [| (Aspace.clone a, m') |]
+        | Write (i, r, o, v) ->
+            let a, m = space i in
+            if mapped m r then begin
+              Aspace.write_word a (addr r o) v;
+              mset m (addr r o) v;
+              mstamp m (addr r o) ~tracked:true
+            end
+        | Write_untracked (i, r, o, v) ->
+            let a, m = space i in
+            if mapped m r then begin
+              Aspace.write_word_untracked a (addr r o) v;
+              mset m (addr r o) v;
+              mstamp m (addr r o) ~tracked:false
+            end
+        | Copy (tracked, (i, r, o), (j, r', o'), n) ->
+            let (sa, sm), (da, dm) = (space i, space j) in
+            let n = min n (min (region_words - o) (region_words - o')) in
+            let overlap = sa == da && r = r' && o < o' + n && o' < o + n in
+            if mapped sm r && mapped dm r' && not overlap then begin
+              (if tracked then Aspace.copy_words_tracked else Aspace.copy_words)
+                ~src:sa (addr r o) ~dst:da (addr r' o') ~words:n;
+              for k = 0 to n - 1 do
+                let d = addr r' (o' + k) in
+                mset dm d (mget sm (addr r (o + k)));
+                mstamp dm d ~tracked
+              done
+            end
+        | Share ((i, r, p), (j, r', p')) ->
+            let (sa, sm), (da, dm) = (space i, space j) in
+            if mapped sm r && mapped dm r' then begin
+              let s = Addr.add (region_base r) (p * Addr.page_size)
+              and d = Addr.add (region_base r') (p' * Addr.page_size) in
+              Aspace.share_page ~src:sa s ~dst:da d;
+              let sp = Option.get (mpage sm s) and dp = Option.get (mpage dm d) in
+              Array.blit sp.mw 0 dp.mw 0 Addr.words_per_page;
+              dp.mtouched <- true;
+              dp.minh <- true
+            end
+        | Unmap (i, r) ->
+            let a, m = space i in
+            if mapped m r then begin
+              Aspace.unmap a (region_base r);
+              for p = 0 to region_pages - 1 do
+                Hashtbl.remove m.mpages (Addr.page_of (region_base r) + p)
+              done
+            end
+        | Epoch (i, e) ->
+            let a, m = space i in
+            Aspace.epoch_reset a ~name:epoch_names.(e);
+            Hashtbl.replace m.mepochs epoch_names.(e) m.mseq
+      in
+      List.iter apply ops;
+      let check_space k (a, m) =
+        let fail fmt = QCheck.Test.fail_reportf ("space %d: " ^^ fmt) k in
+        if Aspace.write_seq a <> m.mseq then
+          fail "write_seq %d, model %d" (Aspace.write_seq a) m.mseq;
+        Hashtbl.iter
+          (fun pn p ->
+            let base = pn * Addr.page_size in
+            Array.iteri
+              (fun w v ->
+                let got = Aspace.read_word a (Addr.add_words base w) in
+                if got <> v then fail "word %#x = %d, model %d" (Addr.add_words base w) got v)
+              p.mw;
+            if Aspace.page_inherited a base <> p.minh then fail "inherited taint of page %#x" base)
+          m.mpages;
+        Array.iter
+          (fun name ->
+            let mark = Option.value (Hashtbl.find_opt m.mepochs name) ~default:0 in
+            let expected =
+              Hashtbl.fold
+                (fun pn p acc -> if p.mlast > mark then (pn * Addr.page_size) :: acc else acc)
+                m.mpages []
+              |> List.sort compare
+            in
+            if Aspace.epoch_dirty_pages a ~name <> expected then fail "epoch %s dirty pages" name)
+          epoch_names;
+        let touched =
+          Hashtbl.fold (fun _ p acc -> if p.mtouched then acc + Addr.page_size else acc) m.mpages 0
+        in
+        if Aspace.touched_bytes a <> touched then fail "touched bytes"
+      in
+      Array.iteri check_space !spaces;
+      true)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -382,7 +579,7 @@ let () =
         [
           Alcotest.test_case "share_page counts and content" `Quick test_share_page_and_counts;
           Alcotest.test_case "COW isolates both sides" `Quick test_share_page_cow_isolates;
-          Alcotest.test_case "detach_shared" `Quick test_detach_shared;
+          Alcotest.test_case "unshare_page" `Quick test_unshare_page;
           Alcotest.test_case "misaligned share rejected" `Quick
             test_share_page_rejects_misaligned;
           Alcotest.test_case "unmap releases shared ref" `Quick test_unmap_shared_releases_ref;
@@ -390,7 +587,8 @@ let () =
         ] );
       ( "clone-copy",
         [
-          Alcotest.test_case "clone is deep" `Quick test_clone_deep;
+          Alcotest.test_case "clone shares frames copy-on-write" `Quick test_clone_shares_frames;
+          qt prop_fork_isolation;
           Alcotest.test_case "copy words across spaces" `Quick test_copy_words_across_spaces;
           Alcotest.test_case "resident bytes" `Quick test_resident_bytes;
         ] );
