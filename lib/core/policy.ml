@@ -112,16 +112,15 @@ let to_kv t =
       "concurrent_transfer=" ^ string_of_bool t.concurrent_transfer;
     ]
 
-let of_string_exn p v =
-  match p with
-  | `Int -> (
-      match int_of_string_opt v with
-      | Some n -> n
-      | None -> failwith (Printf.sprintf "Policy.of_kv: %S is not an integer" v))
-  | `Bool -> (
-      match bool_of_string_opt v with
-      | Some b -> if b then 1 else 0
-      | None -> failwith (Printf.sprintf "Policy.of_kv: %S is not a boolean" v))
+let int_exn v =
+  match int_of_string_opt v with
+  | Some n -> n
+  | None -> failwith (Printf.sprintf "Policy.of_kv: %S is not an integer" v)
+
+let bool_exn v =
+  match bool_of_string_opt v with
+  | Some b -> b
+  | None -> failwith (Printf.sprintf "Policy.of_kv: %S is not a boolean" v)
 
 let of_kv s =
   let fields =
@@ -133,35 +132,33 @@ let of_kv s =
             Some (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1)))
       (String.split_on_char ' ' s)
   in
+  (* Values go through the builders, so text from an image obeys the same
+     range checks as a policy built in code: a value the builders reject is
+     an [Error] here, not an exception later in the update pipeline. *)
   try
     let get k = List.assoc_opt k fields in
-    let opt k p =
-      match get k with None | Some "-" -> None | Some v -> Some (of_string_exn p v)
-    and scalar k p d = match get k with None -> d | Some v -> of_string_exn p v in
+    let opt k = match get k with None | Some "-" -> None | Some v -> Some (int_exn v)
+    and int k d = match get k with None -> d | Some v -> int_exn v
+    and bool k d = match get k with None -> d | Some v -> bool_exn v in
     Ok
-      {
-        quiesce_deadline_ns = opt "quiesce_deadline_ns" `Int;
-        update_deadline_ns = opt "update_deadline_ns" `Int;
-        retries = scalar "retries" `Int default.retries;
-        retry_backoff_ns = scalar "retry_backoff_ns" `Int default.retry_backoff_ns;
-        fault_seed = opt "fault_seed" `Int;
-        dirty_only = scalar "dirty_only" `Bool (if default.dirty_only then 1 else 0) <> 0;
-        precopy = scalar "precopy" `Bool (if default.precopy then 1 else 0) <> 0;
-        precopy_max_rounds = scalar "precopy_max_rounds" `Int default.precopy_max_rounds;
-        precopy_threshold_words =
-          scalar "precopy_threshold_words" `Int default.precopy_threshold_words;
-        transfer_workers = scalar "transfer_workers" `Int default.transfer_workers;
-        transfer_remap = scalar "transfer_remap" `Bool (if default.transfer_remap then 1 else 0) <> 0;
-        slo_downtime_ns = opt "slo_downtime_ns" `Int;
-        slo_total_ns = opt "slo_total_ns" `Int;
-        image_dir = None;
-        request_parking =
-          scalar "request_parking" `Bool (if default.request_parking then 1 else 0) <> 0;
-        drain_ns = scalar "drain_ns" `Int default.drain_ns;
-        concurrent_transfer =
-          scalar "concurrent_transfer" `Bool (if default.concurrent_transfer then 1 else 0) <> 0;
-      }
-  with Stdlib.Failure msg -> Error msg
+      (default
+      |> with_deadlines ~quiesce_ns:(opt "quiesce_deadline_ns") ~update_ns:(opt "update_deadline_ns")
+      |> with_retries
+           ~backoff_ns:(int "retry_backoff_ns" default.retry_backoff_ns)
+           (int "retries" default.retries)
+      |> with_fault_seed (opt "fault_seed")
+      |> with_dirty_only (bool "dirty_only" default.dirty_only)
+      |> with_precopy
+           ~max_rounds:(int "precopy_max_rounds" default.precopy_max_rounds)
+           ~threshold_words:(int "precopy_threshold_words" default.precopy_threshold_words)
+           (bool "precopy" default.precopy)
+      |> with_transfer_workers (int "transfer_workers" default.transfer_workers)
+      |> with_transfer_remap (bool "transfer_remap" default.transfer_remap)
+      |> with_slo ~downtime_ns:(opt "slo_downtime_ns") ~total_ns:(opt "slo_total_ns")
+      |> with_request_parking ~drain_ns:(int "drain_ns" default.drain_ns)
+           (bool "request_parking" default.request_parking)
+      |> with_concurrent_transfer (bool "concurrent_transfer" default.concurrent_transfer))
+  with Stdlib.Failure msg | Invalid_argument msg -> Error msg
 
 let pp ppf t =
   let opt ppf = function

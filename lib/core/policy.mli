@@ -127,6 +127,9 @@ val to_kv : t -> string
 
 val of_kv : string -> (t, string) result
 (** Parse {!to_kv} output. Unknown keys are ignored and missing keys take
-    their defaults, so policies written by older builds keep parsing. *)
+    their defaults, so policies written by older builds keep parsing. Values
+    pass the builders' range checks (workers and pre-copy rounds [>= 1],
+    threshold, retries and drain [>= 0], SLO budgets [> 0]); a value they
+    reject, like one that does not parse, is an [Error]. Never raises. *)
 
 val pp : Format.formatter -> t -> unit

@@ -133,10 +133,10 @@ let aspace_fingerprint ~prog asp =
 (* ------------------------------------------------------------------ *)
 (* Binary writer / reader *)
 
-let w_u64 b n =
-  for i = 0 to 7 do
-    Buffer.add_char b (Char.chr ((n lsr (8 * i)) land 0xff))
-  done
+(* Little-endian 8-byte words holding the 63 bits of an OCaml int: byte 7's
+   top bit is always clear (so -1 encodes byte 7 as 0x7f), and reading takes
+   the low 63 bits back, sign included. *)
+let w_u64 b n = Buffer.add_int64_le b (Int64.logand (Int64.of_int n) Int64.max_int)
 
 let w_bool b v = w_u64 b (if v then 1 else 0)
 
@@ -160,12 +160,9 @@ type reader = { data : string; mutable pos : int }
 
 let r_u64 r =
   if r.pos + 8 > String.length r.data then raise Short;
-  let v = ref 0 in
-  for i = 0 to 7 do
-    v := !v lor (Char.code r.data.[r.pos + i] lsl (8 * i))
-  done;
+  let v = Int64.to_int (String.get_int64_le r.data r.pos) in
   r.pos <- r.pos + 8;
-  !v
+  v
 
 let r_bool r = r_u64 r <> 0
 
@@ -512,12 +509,7 @@ let kind_of_string = function
 let capture_region asp (r : Region.t) =
   let words = r.Region.size / Addr.word_size in
   let arr = Array.make words 0 in
-  let i = ref 0 in
-  let () =
-    Aspace.fold_words asp r.Region.base ~words ~init:() ~f:(fun () w ->
-        arr.(!i) <- w;
-        incr i)
-  in
+  Aspace.blit_to_array asp r.Region.base arr;
   {
     r_name = r.Region.name;
     r_kind = Region.kind_to_string r.Region.kind;
@@ -661,12 +653,7 @@ let install_aspace saved asp =
              (kind_of_string s.r_kind)))
     saved.pi_regions;
   (* contents *)
-  List.iter
-    (fun s ->
-      Array.iteri
-        (fun i w -> Aspace.write_word_untracked asp (Addr.add_words s.r_base i) w)
-        s.r_words)
-    saved.pi_regions;
+  List.iter (fun s -> Aspace.blit_from_array_untracked asp s.r_base s.r_words) saved.pi_regions;
   (* dirty-tracking state *)
   Aspace.set_write_seq asp saved.pi_write_seq;
   List.iter

@@ -467,9 +467,7 @@ let poison_pages st addr ~words =
 
 let write_new st addr words_arr =
   let aspace = st.new_image.P.i_aspace in
-  Array.iteri
-    (fun i v -> Aspace.write_word_untracked aspace (Addr.add_words addr i) v)
-    words_arr;
+  Aspace.blit_from_array_untracked aspace addr words_arr;
   Aspace.mark_inherited aspace addr ~words:(Array.length words_arr);
   (* handler output is synthesized, not a page-congruent copy *)
   poison_pages st addr ~words:(Array.length words_arr)
@@ -793,10 +791,7 @@ let remap_pass st ledger =
   let pw = Addr.words_per_page in
   let page_words aspace base =
     let arr = Array.make pw 0 in
-    let i = ref 0 in
-    Aspace.fold_words aspace base ~words:pw ~init:() ~f:(fun () v ->
-        arr.(!i) <- v;
-        incr i);
+    Aspace.blit_to_array aspace base arr;
     arr
   in
   let pages =

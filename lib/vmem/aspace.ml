@@ -2,11 +2,13 @@
    transfer (remapping a byte-identical page into the new version's address
    space) can share one refcounted frame between pages; the first
    subsequent write to either side copies the frame (copy-on-write) so
-   neither space can mutate the other. Dirtiness is tracked per page as a
-   last-write generation against the space-wide write sequence; consumers
-   own named epochs (saved marks) instead of one global soft-dirty bit, so
-   the startup checkpoint, pre-copy delta rounds and benches cannot clobber
-   each other's view. *)
+   neither space can mutate the other. Fresh mappings are demand-zero:
+   their pages share one zero frame, copied by the same first-store rule.
+   Bulk reads, fills and blits walk a page cursor, one page resolution per
+   run of words. Dirtiness is tracked per page as a last-write generation
+   against the space-wide write sequence; consumers own named epochs (saved
+   marks) instead of one global soft-dirty bit, so the startup checkpoint,
+   pre-copy delta rounds and benches cannot clobber each other's view. *)
 
 type frame = { mutable words : int array; mutable refs : int }
 
@@ -122,6 +124,12 @@ let insert_region t (r : Region.t) =
   Array.blit arr pos out (pos + 1) (n - pos);
   t.regions_arr <- out
 
+(* Demand-zero mapping: every fresh page references this one frame, which
+   is never written. The module holds a reference of its own, so the frame's
+   [refs > 1] whenever a page uses it and the first store through any page
+   gives that page a private copy ([cow] below). *)
+let zero_frame = { words = Array.make Addr.words_per_page 0; refs = 1 }
+
 let map t ?(name = "") placement ~size kind =
   if size <= 0 then invalid_arg "Aspace.map: size must be positive";
   let size = round_pages size in
@@ -139,9 +147,10 @@ let map t ?(name = "") placement ~size kind =
   let first_page = Addr.page_of base in
   let npages = size / Addr.page_size in
   for i = 0 to npages - 1 do
+    zero_frame.refs <- zero_frame.refs + 1;
     Hashtbl.replace t.pages (first_page + i)
       {
-        frame = { words = Array.make Addr.words_per_page 0; refs = 1 };
+        frame = zero_frame;
         touched = false;
         last_write_seq = 0;
         inherited = false;
@@ -192,11 +201,16 @@ let read_word t a =
 (* Copy-on-write: any store through a page whose frame is shared first gives
    the page a private copy, so a remapped image can never mutate the image
    it borrowed the frame from. The copy is host-side bookkeeping — the
-   simulated program pays only its ordinary write cost. *)
+   simulated program pays only its ordinary write cost. The zero frame's
+   copy is made with [Array.make], which fills a major-heap array with plain
+   stores where [Array.copy] initializes it field by field. *)
 let cow (p : page) =
   if p.frame.refs > 1 then begin
     p.frame.refs <- p.frame.refs - 1;
-    p.frame <- { words = Array.copy p.frame.words; refs = 1 }
+    let words =
+      if p.frame == zero_frame then Array.make Addr.words_per_page 0 else Array.copy p.frame.words
+    in
+    p.frame <- { words; refs = 1 }
   end
 
 let write_word t a v =
@@ -213,26 +227,51 @@ let write_word_untracked t a v =
   p.frame.words.(Addr.word_index a) <- v;
   p.touched <- true
 
+(* Page cursor: [f page idx n off] for each maximal run of [n] words that
+   one page holds, starting at word [idx] of the page and at word [off] of
+   the range. A page is resolved (and may fault) only when the run reaches
+   it, so a fault lands where a word-at-a-time loop would fault. *)
+let iter_runs t a ~words f =
+  let addr = ref a and off = ref 0 in
+  while !off < words do
+    let p = page_for t !addr in
+    let idx = Addr.word_index !addr in
+    let n = min (words - !off) (Addr.words_per_page - idx) in
+    f p idx n !off;
+    off := !off + n;
+    addr := Addr.add_words !addr n
+  done
+
 let fold_words t a ~words ~init ~f =
-  if words <= 0 then init
-  else begin
-    let acc = ref init in
-    let addr = ref a in
-    let remaining = ref words in
-    while !remaining > 0 do
-      let p = page_for t !addr in
-      let idx = Addr.word_index !addr in
-      let n = min !remaining (Addr.words_per_page - idx) in
+  let acc = ref init in
+  iter_runs t a ~words (fun p idx n _ ->
       for i = idx to idx + n - 1 do
         acc := f !acc p.frame.words.(i)
-      done;
-      remaining := !remaining - n;
-      addr := Addr.add_words !addr n
-    done;
-    !acc
-  end
+      done);
+  !acc
 
-let copy_words ~src src_addr ~dst dst_addr ~words =
+let fill_words t a ~words v =
+  iter_runs t a ~words (fun p idx n _ ->
+      cow p;
+      Array.fill p.frame.words idx n v;
+      p.touched <- true;
+      t.wseq <- t.wseq + n;
+      p.last_write_seq <- t.wseq)
+
+let blit_to_array t a dst =
+  iter_runs t a ~words:(Array.length dst) (fun p idx n off ->
+      Array.blit p.frame.words idx dst off n)
+
+let blit_from_array_untracked t a src =
+  iter_runs t a ~words:(Array.length src) (fun p idx n off ->
+      cow p;
+      Array.blit src off p.frame.words idx n;
+      p.touched <- true)
+
+(* Two page cursors, one per space; each run stays inside one page on both
+   sides. [tracked] gives the destination the effect of one [write_word] per
+   word, as [fill_words] does. *)
+let copy_runs ~tracked ~src src_addr ~dst dst_addr ~words =
   let remaining = ref words in
   let sa = ref src_addr and da = ref dst_addr in
   while !remaining > 0 do
@@ -244,29 +283,17 @@ let copy_words ~src src_addr ~dst dst_addr ~words =
     cow dp;
     Array.blit sp.frame.words si dp.frame.words di n;
     dp.touched <- true;
+    if tracked then begin
+      dst.wseq <- dst.wseq + n;
+      dp.last_write_seq <- dst.wseq
+    end;
     remaining := !remaining - n;
     sa := Addr.add_words !sa n;
     da := Addr.add_words !da n
   done
 
-let copy_words_tracked ~src src_addr ~dst dst_addr ~words =
-  let remaining = ref words in
-  let sa = ref src_addr and da = ref dst_addr in
-  while !remaining > 0 do
-    let sp = page_for src !sa and dp = page_for dst !da in
-    let si = Addr.word_index !sa and di = Addr.word_index !da in
-    let n =
-      min !remaining (min (Addr.words_per_page - si) (Addr.words_per_page - di))
-    in
-    cow dp;
-    Array.blit sp.frame.words si dp.frame.words di n;
-    dp.touched <- true;
-    dst.wseq <- dst.wseq + n;
-    dp.last_write_seq <- dst.wseq;
-    remaining := !remaining - n;
-    sa := Addr.add_words !sa n;
-    da := Addr.add_words !da n
-  done
+let copy_words = copy_runs ~tracked:false
+let copy_words_tracked = copy_runs ~tracked:true
 
 (* ------------------------------------------------------------------ *)
 (* Dirty epochs *)

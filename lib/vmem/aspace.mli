@@ -10,7 +10,10 @@
     {!share_page} a byte-identical frame into another address space (the
     zero-copy remap). After either, any write through either page copies
     the frame first (copy-on-write), so neither space can mutate the
-    other.
+    other. Mapping is demand-zero: every freshly mapped page, in every
+    space, references one shared never-written zero frame, so two pages
+    that no store has reached report {!same_frame} — even across unrelated
+    spaces — and the first store gives the page a private frame.
 
     Dirtiness mirrors the Linux soft-dirty mechanism MCR builds on, but is
     generation-based: every tracked write bumps the space-wide {!write_seq}
@@ -50,7 +53,9 @@ type placement =
 
 val map : t -> ?name:string -> placement -> size:int -> Region.kind -> Addr.t
 (** [map t placement ~size kind] creates a zeroed mapping and returns its
-    base. [size] is rounded up to whole pages.
+    base. [size] is rounded up to whole pages. The mapping is demand-zero:
+    its pages reference the shared zero frame and allocate nothing until
+    the first store; they still count in {!resident_bytes}.
     @raise Invalid_argument on overlap with an existing region. *)
 
 val unmap : t -> Addr.t -> unit
@@ -81,10 +86,37 @@ val write_word_untracked : t -> Addr.t -> int -> unit
     which must not pollute any consumer's epoch. Still breaks frame
     sharing — untracked does not mean invisible. *)
 
+(** {2 Page-cursor bulk access}
+
+    Each of these resolves a page once per run of words it holds, instead
+    of one hash lookup per word. A page is resolved only when the run
+    reaches it, so an unmapped page raises {!Fault} at its first word in
+    the range — where a word-at-a-time loop would fault — after the pages
+    before it were processed. [words <= 0] (or an empty array) is a no-op
+    that never faults. *)
+
 val fold_words : t -> Addr.t -> words:int -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** [fold_words t a ~words ~init ~f] folds [f] over the [words] consecutive
-    words starting at [a], resolving each page once (a page cursor) instead
-    of one hash lookup per word. @raise Fault as {!read_word}. *)
+    words starting at [a]. @raise Fault as {!read_word}. *)
+
+val fill_words : t -> Addr.t -> words:int -> int -> unit
+(** [fill_words t a ~words v] stores [v] into the [words] consecutive words
+    starting at [a], with exactly the observable effect of one
+    {!write_word} per word: the write sequence advances by [words], each
+    page's last-write stamp is the sequence value after the final word
+    written to it, and shared frames are copied first. The allocators'
+    zero-fill. @raise Fault as {!read_word}. *)
+
+val blit_to_array : t -> Addr.t -> int array -> unit
+(** [blit_to_array t a dst] reads the [Array.length dst] consecutive words
+    starting at [a] into [dst]. @raise Fault as {!read_word}. *)
+
+val blit_from_array_untracked : t -> Addr.t -> int array -> unit
+(** [blit_from_array_untracked t a src] stores [src] into consecutive words
+    starting at [a] with the semantics of one {!write_word_untracked} per
+    word: shared frames are copied first and pages become touched, but no
+    dirty stamp moves. Checkpoint restore installs region contents with
+    it. @raise Fault as {!read_word}. *)
 
 val copy_words : src:t -> Addr.t -> dst:t -> Addr.t -> words:int -> unit
 (** Cross-space copy; tracked on the destination side as untracked writes

@@ -74,59 +74,50 @@ let explanation_parts = function
   | Some (e : Flight.explanation) -> (Some e.Flight.e_reason, Some e.Flight.e_stage)
 
 let replay img =
-  match Image.flight_json img with
-  | None -> Error "image carries no flight record (not snapped by an update attempt)"
-  | Some flight_json -> (
-      match Flight.of_json flight_json with
-      | Error e -> Error ("embedded flight record does not parse: " ^ e)
-      | Ok recorded -> (
-          match Image.target_tag img with
-          | None -> Error "image carries no update target tag"
-          | Some target -> (
-              match restore img with
-              | Error e -> Error e
-              | Ok (_kernel, m, _install) -> (
-                  match server_of_prog (Image.prog img) with
-                  | None -> Error "unreachable: program vanished after restore"
-                  | Some server -> (
-                      match version_of_tag server target with
-                      | None ->
-                          Error
-                            (Printf.sprintf "no %s version tagged %s" (Image.prog img)
-                               target)
-                      | Some target_version ->
-                          let policy =
-                            match Image.policy_text img with
-                            | None -> Policy.default
-                            | Some text -> (
-                                match Policy.of_kv text with
-                                | Ok p -> p
-                                | Error _ -> Policy.default)
-                          in
-                          let _, report = Manager.update m ~policy target_version in
-                          let expected_reason, expected_stage =
-                            explanation_parts recorded.Flight.f_explanation
-                          in
-                          let got_reason, got_stage =
-                            explanation_parts report.Manager.flight.Flight.f_explanation
-                          in
-                          let reproduced =
-                            report.Manager.success = recorded.Flight.f_success
-                            && (recorded.Flight.f_success
-                               || (expected_reason = got_reason
-                                  && expected_stage = got_stage))
-                          in
-                          Ok
-                            {
-                              v_reproduced = reproduced;
-                              v_expected_success = recorded.Flight.f_success;
-                              v_got_success = report.Manager.success;
-                              v_expected_reason = expected_reason;
-                              v_got_reason = got_reason;
-                              v_expected_stage = expected_stage;
-                              v_got_stage = got_stage;
-                              v_fingerprint = Image.fingerprint img;
-                            })))))
+  let ( let* ) = Result.bind in
+  let* flight_json =
+    Option.to_result (Image.flight_json img)
+      ~none:"image carries no flight record (not snapped by an update attempt)"
+  in
+  let* recorded =
+    Result.map_error (fun e -> "embedded flight record does not parse: " ^ e)
+      (Flight.of_json flight_json)
+  in
+  let* target = Option.to_result (Image.target_tag img) ~none:"image carries no update target tag" in
+  let* policy =
+    match Image.policy_text img with
+    | None -> Ok Policy.default
+    | Some text ->
+        Result.map_error (fun e -> "embedded policy does not parse: " ^ e) (Policy.of_kv text)
+  in
+  let* _kernel, m, _install = restore img in
+  let* server =
+    Option.to_result (server_of_prog (Image.prog img))
+      ~none:"unreachable: program vanished after restore"
+  in
+  let* target_version =
+    Option.to_result (version_of_tag server target)
+      ~none:(Printf.sprintf "no %s version tagged %s" (Image.prog img) target)
+  in
+  let _, report = Manager.update m ~policy target_version in
+  let expected_reason, expected_stage = explanation_parts recorded.Flight.f_explanation in
+  let got_reason, got_stage = explanation_parts report.Manager.flight.Flight.f_explanation in
+  let reproduced =
+    report.Manager.success = recorded.Flight.f_success
+    && (recorded.Flight.f_success
+       || (expected_reason = got_reason && expected_stage = got_stage))
+  in
+  Ok
+    {
+      v_reproduced = reproduced;
+      v_expected_success = recorded.Flight.f_success;
+      v_got_success = report.Manager.success;
+      v_expected_reason = expected_reason;
+      v_got_reason = got_reason;
+      v_expected_stage = expected_stage;
+      v_got_stage = got_stage;
+      v_fingerprint = Image.fingerprint img;
+    }
 
 let replay_path ~path =
   match Image.read ~path with

@@ -44,7 +44,8 @@ val replay : Mcr_image.Image.t -> (verdict, string) result
     fault seed, so injected failures re-fire identically), re-run the
     update toward the embedded target tag and compare the outcome against
     the embedded flight record. [Error] means the replay could not run at
-    all (no flight record, unknown program/version, restore failure) —
+    all (no flight record, embedded policy text that {!Mcr_core.Policy.of_kv}
+    rejects, unknown program/version, restore failure) —
     distinct from [Ok { v_reproduced = false; _ }], which means it ran and
     contradicted the record. *)
 

@@ -231,6 +231,52 @@ let fuzz_corpus =
              (Testbed.name server, enc, Array.of_list sections))
        Testbed.all)
 
+(* Encoder golden: the MD5 of every server's [encode] output, pinned so a
+   codec rewrite that claims byte-identical output has to show it. *)
+let encode_goldens =
+  [
+    ("Apache httpd", "f0713e0ff6f19a39de80be02be0e472e");
+    ("nginx", "d600907d29cac96502470b69a8a69c38");
+    ("vsftpd", "7cd6c57773b82867bae96314685ed2c5");
+    ("OpenSSH", "810b3df96793bdcc0becb04dce505a86");
+  ]
+
+let test_encode_golden () =
+  Alcotest.(check (list (pair string string)))
+    "per-server encoding digests" encode_goldens
+    (List.map
+       (fun (name, enc, _) -> (name, Digest.to_hex (Digest.string enc)))
+       (Lazy.force fuzz_corpus))
+
+(* Every integer field is 8 little-endian bytes carrying the 63 bits of an
+   OCaml int: byte 7's top bit is written clear and ignored on read. A
+   META-only image with the value in its clock and fingerprint fields must
+   decode to the value and re-encode to the same bytes. *)
+let test_u64_field_roundtrip () =
+  let field n = "\000\000\000\000\000\000\000" ^ String.make 1 (Char.chr n) in
+  let ones top = String.make 7 '\xff' ^ String.make 1 (Char.chr top) in
+  let meta_image bytes =
+    seal ~count:1 [ ("META", "meta", w_str "p" ^ w_str "v" ^ bytes ^ bytes ^ u64_le 0) ]
+  in
+  List.iter
+    (fun (label, n, bytes, canonical) ->
+      match Image.decode (meta_image bytes) with
+      | Error e -> Alcotest.failf "%s: %s" label (Image.error_to_string e)
+      | Ok img ->
+          Alcotest.(check int) (label ^ ": clock") n (Image.clock_ns img);
+          Alcotest.(check int) (label ^ ": fingerprint") n (Image.fingerprint img);
+          Alcotest.(check string) (label ^ ": re-encoded bytes") (meta_image canonical)
+            (Image.encode img))
+    [
+      ("0", 0, field 0, field 0);
+      ("-1", -1, ones 0x7f, ones 0x7f);
+      ("min_int", min_int, field 0x40, field 0x40);
+      ("max_int", max_int, ones 0x3f, ones 0x3f);
+      (* 2^62 does not fit a 63-bit int: its bytes read back as min_int *)
+      ("2^62", 1 lsl 62, field 0x40, field 0x40);
+      ("top bit set", -1, ones 0xff, ones 0x7f);
+    ]
+
 (* Offsets are taken modulo the room available; a negative offset counts
    back from the end. Most of a PROC payload is region words, so the
    generator aims two edits in three at either end, where the counts and
@@ -573,6 +619,54 @@ let test_replay_reproduces_commit () =
       Alcotest.(check bool) "offline re-run commits too" true
         v.Timetravel.v_reproduced
 
+(* Policy text is outside input: a value the builders reject must come back
+   as [Error] from [of_kv] and from the replay, never as an exception from
+   deep in the update pipeline. *)
+let test_replay_rejects_bad_policy () =
+  List.iter
+    (fun kv ->
+      match Policy.of_kv kv with
+      | Ok _ -> Alcotest.failf "of_kv %S accepted" kv
+      | Error _ -> ())
+    [
+      "transfer_workers=0";
+      "precopy_max_rounds=0";
+      "precopy_threshold_words=-1";
+      "retries=-1";
+      "drain_ns=-1";
+      "slo_downtime_ns=0";
+      "slo_total_ns=-5";
+      "retries=x";
+    ];
+  let dir = tmp_dir "replay_badpol" in
+  let kernel = K.create () in
+  let m = Testbed.launch kernel Testbed.Vsftpd in
+  ignore (Testbed.benchmark kernel Testbed.Vsftpd ~scale:500 ());
+  let policy = Policy.default |> Policy.with_image_dir (Some dir) in
+  let _m2, report = Manager.update m ~policy (Testbed.final_version Testbed.Vsftpd) in
+  Alcotest.(check bool) "update committed" true report.Manager.success;
+  let enc =
+    match Image.read ~path:(written_image dir) with
+    | Ok img -> Image.encode img
+    | Error e -> Alcotest.fail (Image.error_to_string e)
+  in
+  let sections = split_sections enc in
+  let resealed =
+    seal ~count:(List.length sections)
+      (List.map
+         (fun (tag, name, payload) ->
+           if tag = "POLI" then (tag, name, "transfer_workers=0") else (tag, name, payload))
+         sections)
+  in
+  Alcotest.(check bool) "image carries a POLI section" true
+    (List.exists (fun (tag, _, _) -> tag = "POLI") sections);
+  match Image.decode resealed with
+  | Error e -> Alcotest.fail (Image.error_to_string e)
+  | Ok img -> (
+      match Timetravel.replay img with
+      | Ok _ -> Alcotest.fail "replay ran under a policy of_kv must reject"
+      | Error e -> Alcotest.(check bool) ("error names the policy: " ^ e) true (contains e "policy"))
+
 let test_replay_requires_flight () =
   (* a manually saved image (no update attempt) has nothing to replay *)
   let _k, _m, _path, img = loaded_save Testbed.Httpd "noflight" in
@@ -590,6 +684,8 @@ let () =
           Alcotest.test_case "corruption goldens" `Quick test_corruption_goldens;
           Alcotest.test_case "unknown section skipped" `Quick test_unknown_section_skipped;
           Alcotest.test_case "oversized length fields" `Quick test_oversized_lengths;
+          Alcotest.test_case "encode golden per server" `Quick test_encode_golden;
+          Alcotest.test_case "u64 field round-trips" `Quick test_u64_field_roundtrip;
           QCheck_alcotest.to_alcotest prop_decode_total;
         ] );
       ( "restore",
@@ -620,5 +716,6 @@ let () =
           Alcotest.test_case "commit reproduced offline" `Quick
             test_replay_reproduces_commit;
           Alcotest.test_case "flightless image refused" `Quick test_replay_requires_flight;
+          Alcotest.test_case "bad policy text refused" `Quick test_replay_rejects_bad_policy;
         ] );
     ]

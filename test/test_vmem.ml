@@ -172,6 +172,24 @@ let test_clone_shares_frames () =
   Aspace.write_word sp base 2;
   Alcotest.(check int) "child unaffected" 1 (Aspace.read_word child base)
 
+let test_map_is_demand_zero () =
+  let a = Aspace.create () and b = Aspace.create () in
+  let pa = Aspace.map a (Aspace.Fixed 0x10000) ~size:(2 * 4096) Region.Heap in
+  let pb = Aspace.map b (Aspace.Fixed 0x20000) ~size:4096 Region.Heap in
+  Alcotest.(check bool) "untouched pages of two spaces share the zero frame" true
+    (Aspace.same_frame a pa b pb);
+  Alcotest.(check int) "fresh pages are resident" (2 * 4096) (Aspace.resident_bytes a);
+  Alcotest.(check int) "but untouched" 0 (Aspace.touched_bytes a);
+  Aspace.fill_words a (Addr.add_words pa 510) ~words:4 7;
+  Alcotest.(check bool) "a store gives the page a private frame" false
+    (Aspace.same_frame a pa b pb);
+  Alcotest.(check bool) "both pages the fill reached" false
+    (Aspace.same_frame a (Addr.add pa 4096) b pb);
+  Alcotest.(check int) "fill landed" 7 (Aspace.read_word a (Addr.add_words pa 511));
+  Alcotest.(check int) "other spaces still read zero" 0 (Aspace.read_word b (Addr.add_words pb 511));
+  Alcotest.(check int) "one write per word" 4 (Aspace.write_seq a);
+  Alcotest.(check int) "touched pages" (2 * 4096) (Aspace.touched_bytes a)
+
 let test_copy_words_across_spaces () =
   let a = Aspace.create () in
   let b = Aspace.create () in
@@ -338,12 +356,89 @@ let prop_dirty_iff_written =
       in
       Aspace.epoch_dirty_pages sp ~name:"startup" = expected)
 
+(* Property: [fill_words] is one [write_word] per word. Two identical
+   worlds — a three-page mapping with some tracked stores spread over two
+   epochs, optionally a fork child and a space a page was remapped into —
+   see the fill in one and the word loop in the other. Ranges may cross
+   pages and run off the mapping's end: both sides must fault at the same
+   address after the same stores. Contents, write sequence, per-epoch
+   dirty pages and touched bytes must agree, and the fork child and the
+   remap target must still hold what they held before. *)
+
+let fill_pages = 3
+let fill_base = 0x10000
+
+let prop_fill_words_is_write_loop =
+  QCheck.Test.make ~name:"fill_words is one write_word per word" ~count:300
+    QCheck.(
+      quad
+        (small_list (pair (int_bound ((fill_pages * 512) - 1)) small_nat))
+        (int_bound ((fill_pages * 512) - 1))
+        (int_range 0 1100)
+        (triple small_nat bool bool))
+    (fun (stores, off, words, (v, fork, remap)) ->
+      let world () =
+        let a = Aspace.create () in
+        ignore (Aspace.map a (Aspace.Fixed fill_base) ~size:(fill_pages * 4096) Region.Heap);
+        Aspace.epoch_reset a ~name:"e1";
+        List.iteri
+          (fun i (o, x) ->
+            if i = List.length stores / 2 then Aspace.epoch_reset a ~name:"e2";
+            Aspace.write_word a (Addr.add_words fill_base o) x)
+          stores;
+        let child = if fork then Some (Aspace.clone a) else None in
+        let target =
+          if remap then begin
+            let b = Aspace.create () in
+            let d = Aspace.map b (Aspace.Fixed 0x40000) ~size:4096 Region.Heap in
+            Aspace.copy_words ~src:a (Addr.add fill_base 4096) ~dst:b d ~words:512;
+            Aspace.share_page ~src:a (Addr.add fill_base 4096) ~dst:b d;
+            Some b
+          end
+          else None
+        in
+        (a, child, target)
+      in
+      let words_of sp base n = Array.init n (fun i -> Aspace.read_word sp (Addr.add_words base i)) in
+      let run fill =
+        let a, child, target = world () in
+        let before = words_of a fill_base (fill_pages * 512) in
+        let start = Addr.add_words fill_base off in
+        let fault =
+          match fill a start with () -> None | exception Aspace.Fault f -> Some f
+        in
+        let others_intact =
+          Option.fold child ~none:true ~some:(fun c ->
+              words_of c fill_base (fill_pages * 512) = before)
+          && Option.fold target ~none:true ~some:(fun b ->
+                 words_of b 0x40000 512 = Array.sub before 512 512)
+        in
+        ( fault,
+          words_of a fill_base (fill_pages * 512),
+          Aspace.write_seq a,
+          List.map (fun name -> Aspace.epoch_dirty_pages a ~name) [ "e1"; "e2" ],
+          Aspace.touched_bytes a,
+          others_intact )
+      in
+      let bulk = run (fun a start -> Aspace.fill_words a start ~words v) in
+      let loop =
+        run (fun a start ->
+            for i = 0 to words - 1 do
+              Aspace.write_word a (Addr.add_words start i) v
+            done)
+      in
+      let _, _, _, _, _, intact = bulk in
+      bulk = loop && intact)
+
 (* Property: copy-on-write fork is observably a deep copy. Random operation
    sequences run over a fork tree (clones of clones) and, in lockstep, over a
    model in which every space owns private page arrays. Every space must
    match its model: contents (so no store leaks into another space), write
    sequence, per-epoch dirty page lists (so a parent's store after a clone
-   never dirties the child's epoch), inherited taint and touched bytes. *)
+   never dirties the child's epoch), inherited taint and touched bytes.
+   Fresh mappings all start on the one shared zero frame, so a store or a
+   fill into a fresh page that leaked would show up as a nonzero word in
+   some other space's fresh page. *)
 
 type mpage = {
   mw : int array;
@@ -366,6 +461,8 @@ type fork_op =
       (* tracked; (space, region, offset) source and destination; words *)
   | Share of (int * int * int) * (int * int * int)  (* (space, region, page) *)
   | Unmap of int * int
+  | Map of int * int  (* space, region: a fresh demand-zero mapping *)
+  | Fill of int * int * int * int * int  (* space, region, word offset, words, value *)
   | Epoch of int * int  (* space, epoch name index *)
 
 let fork_regions = 3
@@ -383,6 +480,8 @@ let pp_fork_op = function
         r' o' n
   | Share ((i, r, p), (j, r', p')) -> Printf.sprintf "share %d r%d p%d -> %d r%d p%d" i r p j r' p'
   | Unmap (i, r) -> Printf.sprintf "unmap %d r%d" i r
+  | Map (i, r) -> Printf.sprintf "map %d r%d" i r
+  | Fill (i, r, o, n, v) -> Printf.sprintf "fill %d r%d+%d x%d := %d" i r o n v
   | Epoch (i, e) -> Printf.sprintf "epoch_reset %d %s" i epoch_names.(e)
 
 let gen_fork_op =
@@ -400,6 +499,11 @@ let gen_fork_op =
           (quad bool (triple sp reg off) (triple sp reg off) (int_range 1 600)) );
       (2, map (fun (s, d) -> Share (s, d)) (pair (triple sp reg page) (triple sp reg page)));
       (1, map (fun (i, r) -> Unmap (i, r)) (pair sp reg));
+      (1, map (fun (i, r) -> Map (i, r)) (pair sp reg));
+      ( 3,
+        map
+          (fun ((i, r, o), (n, v)) -> Fill (i, r, o, n, v))
+          (pair (triple sp reg off) (pair (int_range 1 600) small_nat)) );
       (2, map (fun (i, e) -> Epoch (i, e)) (pair sp (int_bound 1)));
     ]
 
@@ -488,6 +592,27 @@ let prop_fork_isolation =
               Aspace.unmap a (region_base r);
               for p = 0 to region_pages - 1 do
                 Hashtbl.remove m.mpages (Addr.page_of (region_base r) + p)
+              done
+            end
+        | Map (i, r) ->
+            let a, m = space i in
+            if not (mapped m r) then begin
+              ignore
+                (Aspace.map a (Aspace.Fixed (region_base r)) ~size:(region_words * 8) Region.Heap);
+              for p = 0 to region_pages - 1 do
+                Hashtbl.replace m.mpages
+                  (Addr.page_of (region_base r) + p)
+                  { mw = Array.make Addr.words_per_page 0; mlast = 0; mtouched = false; minh = false }
+              done
+            end
+        | Fill (i, r, o, n, v) ->
+            let a, m = space i in
+            let n = min n (region_words - o) in
+            if mapped m r then begin
+              Aspace.fill_words a (addr r o) ~words:n v;
+              for k = 0 to n - 1 do
+                mset m (addr r (o + k)) v;
+                mstamp m (addr r (o + k)) ~tracked:true
               done
             end
         | Epoch (i, e) ->
@@ -589,6 +714,8 @@ let () =
         [
           Alcotest.test_case "clone shares frames copy-on-write" `Quick test_clone_shares_frames;
           qt prop_fork_isolation;
+          qt prop_fill_words_is_write_loop;
+          Alcotest.test_case "map is demand-zero" `Quick test_map_is_demand_zero;
           Alcotest.test_case "copy words across spaces" `Quick test_copy_words_across_spaces;
           Alcotest.test_case "resident bytes" `Quick test_resident_bytes;
         ] );
