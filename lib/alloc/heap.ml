@@ -380,19 +380,28 @@ let rebind (t : t) aspace =
   fresh
 
 
+(* The block tiling of [base, limit), [f header flags] per block, without
+   raising: restore walks memory that came from an image file. Blocks must
+   carry the magic and end exactly at the limit. *)
+let walk_tiling aspace ~base ~limit f =
+  let rec walk header =
+    if header = limit then Ok ()
+    else if header > limit then Error "block overruns the heap limit"
+    else
+      match unpack (Aspace.read_word aspace header) with
+      | exception Invalid_argument _ ->
+          Error (Format.asprintf "corrupted block header at %a" Addr.pp header)
+      | flags, payload_words ->
+          f header flags;
+          walk (Addr.add_words header (total_words flags payload_words))
+  in
+  walk base
+
 let refresh (t : t) =
   Hashtbl.reset t.by_payload;
-  let rec walk header =
-    if header < t.limit then begin
-      let flags, payload_words = unpack (Aspace.read_word t.aspace header) in
-      if flags land flag_allocated <> 0 then begin
-        let hdr = header_words_of_flags flags in
-        Hashtbl.replace t.by_payload (Addr.add_words header hdr) header
-      end;
-      walk (Addr.add_words header (header_words_of_flags flags + payload_words))
-    end
-  in
-  walk t.base
+  walk_tiling t.aspace ~base:t.base ~limit:t.limit (fun header flags ->
+      if flags land flag_allocated <> 0 then
+        Hashtbl.replace t.by_payload (Addr.add_words header (header_words_of_flags flags)) header)
 
 (* Like [of_region] but over memory that already holds a valid block
    tiling — attaching writes no headers, it only rebuilds the cache.
@@ -412,8 +421,7 @@ let attach aspace ~base ~size ~instrumented =
       stats = { allocs = 0; frees = 0; tag_words = 0 };
     }
   in
-  refresh t;
-  t
+  Result.map (fun () -> t) (refresh t)
 
 let restore_stats (t : t) ~allocs ~frees ~tag_words =
   t.stats.allocs <- allocs;
@@ -421,27 +429,15 @@ let restore_stats (t : t) ~allocs ~frees ~tag_words =
   t.stats.tag_words <- tag_words
 
 let validate (t : t) =
-  let rec walk header live_payloads =
-    if header = t.limit then Ok live_payloads
-    else if header > t.limit then Error "block overruns the heap limit"
-    else
-      match unpack (Aspace.read_word t.aspace header) with
-      | exception Invalid_argument m -> Error m
-      | flags, payload_words ->
-          let total = total_words flags payload_words in
-          if total <= 0 then Error "non-positive block size"
-          else
-            let live_payloads =
-              if flags land flag_allocated <> 0 then
-                Addr.add_words header (header_words_of_flags flags) :: live_payloads
-              else live_payloads
-            in
-            walk (Addr.add_words header total) live_payloads
-  in
-  match walk t.base [] with
+  let live = ref [] in
+  match
+    walk_tiling t.aspace ~base:t.base ~limit:t.limit (fun header flags ->
+        if flags land flag_allocated <> 0 then
+          live := Addr.add_words header (header_words_of_flags flags) :: !live)
+  with
   | Error e -> Error e
-  | Ok live ->
+  | Ok () ->
       let cache_ok =
-        Hashtbl.fold (fun payload _ ok -> ok && List.mem payload live) t.by_payload true
+        Hashtbl.fold (fun payload _ ok -> ok && List.mem payload !live) t.by_payload true
       in
       if cache_ok then Ok () else Error "payload cache references a dead block"

@@ -127,19 +127,27 @@ val metadata_words : t -> int
 (** Header words currently consumed by live blocks — the in-band metadata
     footprint for memory accounting. *)
 
-val attach : Mcr_vmem.Aspace.t -> base:Mcr_vmem.Addr.t -> size:int -> instrumented:bool -> t
+val attach :
+  Mcr_vmem.Aspace.t ->
+  base:Mcr_vmem.Addr.t ->
+  size:int ->
+  instrumented:bool ->
+  (t, string) result
 (** Adopt an extent that {e already} holds a valid block tiling (e.g. just
     re-installed from a checkpoint image): no headers are written, the
     payload cache is rebuilt from the in-band state, and the heap comes up
     past its startup phase. Contrast {!of_region}, which formats the extent
-    as one free block. *)
+    as one free block. [Error] as {!refresh}. *)
 
-val refresh : t -> unit
+val refresh : t -> (unit, string) result
 (** Rebuild the payload cache in place by walking the in-band headers —
     the allocator's authoritative state. Call after a checkpoint-image
     restore overwrites the heap region's contents underneath this
     descriptor ({!rebind} is the same walk for a {e different} address
-    space). *)
+    space). The contents came from a file, so the walk does not trust
+    them: a header without the magic, or a block running past the limit,
+    is an [Error] naming it, not an exception. The extent must be
+    mapped. *)
 
 val restore_stats : t -> allocs:int -> frees:int -> tag_words:int -> unit
 (** Overwrite the accounting counters with values saved in a checkpoint

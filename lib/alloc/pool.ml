@@ -171,6 +171,15 @@ let rec export_state t =
     st_kids = List.map export_state t.kids;
   }
 
+let ( let* ) = Result.bind
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: xs ->
+      let* y = f x in
+      let* ys = map_result f xs in
+      Ok (y :: ys)
+
 (* Restoring must not touch the backing heap: the chunk blocks named in the
    state already exist in the (re-installed) in-band heap structure, so we
    only rebuild the OCaml-side view over them. Micro heaps are [Heap.attach]ed
@@ -178,36 +187,40 @@ let rec export_state t =
 let rec restore_state t st =
   let aspace = Heap.aspace t.heap in
   let chunk_of_state cs =
-    let micro =
+    let* micro =
       if cs.cs_micro then
-        Some (Heap.attach aspace ~base:cs.cs_base ~size:(cs.cs_words * Addr.word_size) ~instrumented:true)
-      else None
+        Result.map Option.some
+          (Heap.attach aspace ~base:cs.cs_base ~size:(cs.cs_words * Addr.word_size)
+             ~instrumented:true)
+      else Ok None
     in
-    { base = cs.cs_base; words = cs.cs_words; micro; bump = cs.cs_bump }
+    Ok { base = cs.cs_base; words = cs.cs_words; micro; bump = cs.cs_bump }
+  in
+  let kid_of_state kst =
+    let kid =
+      {
+        heap = t.heap;
+        name = kst.st_name;
+        instrument = kst.st_instrument;
+        chunk_words = kst.st_chunk_words;
+        chunks = [];
+        kids = [];
+        alive = true;
+        stats = { pallocs = 0; tag_words = 0; chunks_grabbed = 0 };
+      }
+    in
+    let* () = restore_state kid kst in
+    Ok kid
   in
   t.stats.pallocs <- st.st_pallocs;
   t.stats.tag_words <- st.st_tag_words;
   t.stats.chunks_grabbed <- st.st_chunks_grabbed;
-  t.chunks <- List.map chunk_of_state st.st_chunks;
   t.alive <- true;
-  t.kids <-
-    List.map
-      (fun kst ->
-        let kid =
-          {
-            heap = t.heap;
-            name = kst.st_name;
-            instrument = kst.st_instrument;
-            chunk_words = kst.st_chunk_words;
-            chunks = [];
-            kids = [];
-            alive = true;
-            stats = { pallocs = 0; tag_words = 0; chunks_grabbed = 0 };
-          }
-        in
-        restore_state kid kst;
-        kid)
-      st.st_kids
+  let* chunks = map_result chunk_of_state st.st_chunks in
+  t.chunks <- chunks;
+  let* kids = map_result kid_of_state st.st_kids in
+  t.kids <- kids;
+  Ok ()
 
 let rec rebind t heap =
   let rebind_chunk c =

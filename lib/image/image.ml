@@ -9,7 +9,7 @@ module Slab = Mcr_alloc.Slab
 module Fnv = Mcr_util.Fnv
 module P = Mcr_program.Progdef
 
-let format_version = 1
+let format_version = 2
 let magic = "MCRIMAGE"
 
 type error =
@@ -46,12 +46,15 @@ let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 (* ------------------------------------------------------------------ *)
 (* In-memory representation *)
 
+(* Only pages holding a nonzero word are kept, as (page index within the
+   region, its words) in ascending index order; every page not listed reads
+   as zero. *)
 type region_image = {
   r_name : string;
-  r_kind : string;
+  r_kind : Region.kind;
   r_base : Addr.t;
   r_size : int;  (* bytes *)
-  r_words : int array;
+  r_pages : (int * int array) list;
 }
 
 type page_state_image = { g_page : Addr.t; g_seq : int; g_touched : bool; g_inherited : bool }
@@ -113,7 +116,7 @@ let region_count t = List.fold_left (fun a p -> a + List.length p.pi_regions) 0 
 
 let total_words t =
   List.fold_left
-    (fun a p -> List.fold_left (fun a r -> a + Array.length r.r_words) a p.pi_regions)
+    (fun a p -> List.fold_left (fun a r -> a + (r.r_size / Addr.word_size)) a p.pi_regions)
     0 t.im_procs
 
 let with_flight_json t json = { t with im_flight_json = Some json }
@@ -121,13 +124,16 @@ let with_flight_json t json = { t with im_flight_json = Some json }
 (* ------------------------------------------------------------------ *)
 (* Fingerprint — the byte-identity witness shared with Fleet *)
 
+(* Nearly every mapped word is zero, so its hash is computed once. *)
+let zero_word_hash = Fnv.int 0
+
 let aspace_fingerprint ~prog asp =
   List.fold_left
     (fun acc (r : Region.t) ->
       let acc = Fnv.combine acc (Fnv.string r.Region.name) in
       let acc = Fnv.combine acc (Fnv.int r.Region.base) in
       Aspace.fold_words asp r.Region.base ~words:(r.Region.size / Addr.word_size) ~init:acc
-        ~f:(fun acc w -> Fnv.combine acc (Fnv.int w)))
+        ~f:(fun acc w -> Fnv.combine acc (if w = 0 then zero_word_hash else Fnv.int w)))
     (Fnv.string prog) (Aspace.regions asp)
 
 (* ------------------------------------------------------------------ *)
@@ -184,23 +190,43 @@ let r_list r f =
 (* ------------------------------------------------------------------ *)
 (* Section payload codecs *)
 
+let kind_of_string = function
+  | "static" -> Some Region.Static
+  | "heap" -> Some Region.Heap
+  | "stack" -> Some Region.Stack
+  | "lib" -> Some Region.Lib
+  | "mmap" -> Some Region.Mmap
+  | _ -> None
+
+(* One page record on the wire: its index, then its words. *)
+let page_record_bytes = 8 * (1 + Addr.words_per_page)
+
 let w_region b r =
   w_str b r.r_name;
-  w_str b r.r_kind;
+  w_str b (Region.kind_to_string r.r_kind);
   w_u64 b r.r_base;
   w_u64 b r.r_size;
-  w_u64 b (Array.length r.r_words);
-  Array.iter (w_u64 b) r.r_words
+  w_list b
+    (fun b (index, words) ->
+      w_u64 b index;
+      Array.iter (w_u64 b) words)
+    r.r_pages
 
 let r_region r =
   let r_name = r_str r in
-  let r_kind = r_str r in
+  let kind = r_str r in
   let r_base = r_u64 r in
   let r_size = r_u64 r in
   let n = r_u64 r in
-  if n < 0 || n > (String.length r.data - r.pos) / 8 then raise Short;
-  let r_words = Array.init n (fun _ -> r_u64 r) in
-  { r_name; r_kind; r_base; r_size; r_words }
+  if n < 0 || n > (String.length r.data - r.pos) / page_record_bytes then raise Short;
+  let r_pages =
+    List.init n (fun _ ->
+        let index = r_u64 r in
+        (index, Array.init Addr.words_per_page (fun _ -> r_u64 r)))
+  in
+  match kind_of_string kind with
+  | Some r_kind -> { r_name; r_kind; r_base; r_size; r_pages }
+  | None -> failwith (Printf.sprintf "region %s has unknown kind %S" r_name kind)
 
 let w_page b g =
   w_u64 b g.g_page;
@@ -351,6 +377,80 @@ let decode_proc r =
     pi_fds; pi_regions; pi_pages; pi_epochs; pi_threads; pi_heap; pi_lib_heap; pi_pools;
     pi_slabs }
 
+(* Every placement area of the simulated layout lies below 4 GiB (the
+   32-bit layout of [Aspace]'s kind bases). A region reaching past it was
+   not saved from a simulated process, and a sparse region costs no bytes
+   on the wire: without this bound one size field could ask restore to map
+   2^50 pages. *)
+let address_limit = 1 lsl 32
+
+(* Shape rules for a decoded process, so that installing it can neither
+   raise nor touch memory outside its saved regions: regions are positive,
+   page-aligned, disjoint and below [address_limit], page indices ascend
+   within their region, and every page state and pool chunk lies inside a
+   saved region. *)
+let check_proc p =
+  let bad fmt = Printf.ksprintf failwith fmt in
+  let page_aligned a = a land (Addr.page_size - 1) = 0 in
+  let inside a ~bytes =
+    List.exists
+      (fun r -> a >= r.r_base && bytes <= r.r_size && a - r.r_base <= r.r_size - bytes)
+      p.pi_regions
+  in
+  let regions = List.sort (fun a b -> compare a.r_base b.r_base) p.pi_regions in
+  List.iter
+    (fun r ->
+      if r.r_base <= 0 || not (page_aligned r.r_base) then
+        bad "region %s: base %#x is not a positive page boundary" r.r_name r.r_base;
+      if r.r_size <= 0 || not (page_aligned r.r_size) || r.r_size > address_limit - r.r_base then
+        bad "region %s: size %d is not a positive whole number of pages below %#x" r.r_name
+          r.r_size address_limit;
+      ignore
+        (List.fold_left
+           (fun prev (index, _) ->
+             if index <= prev || index >= r.r_size / Addr.page_size then
+               bad "region %s: page index %d is out of order or range" r.r_name index;
+             index)
+           (-1) r.r_pages))
+    regions;
+  let rec disjoint = function
+    | a :: (b :: _ as rest) ->
+        if b.r_base - a.r_base < a.r_size then
+          bad "regions %s and %s overlap" a.r_name b.r_name;
+        disjoint rest
+    | _ -> ()
+  in
+  disjoint regions;
+  List.iter
+    (fun g ->
+      if not (page_aligned g.g_page && inside g.g_page ~bytes:Addr.page_size) then
+        bad "page state %#x lies outside every region" g.g_page)
+    p.pi_pages;
+  let rec check_pool (st : Pool.state) =
+    List.iter
+      (fun (c : Pool.chunk_state) ->
+        if
+          c.Pool.cs_words < 0
+          || c.cs_words > max_int / Addr.word_size
+          || not (Addr.is_aligned c.cs_base)
+          || (c.cs_words > 0 && not (inside c.cs_base ~bytes:(c.cs_words * Addr.word_size)))
+        then bad "pool %s: chunk %#x+%d words lies outside every region" st.Pool.st_name
+            c.cs_base c.cs_words)
+      st.st_chunks;
+    List.iter check_pool st.st_kids
+  in
+  List.iter check_pool p.pi_pools
+
+let decode_checked name payload =
+  match
+    let p = decode_proc { data = payload; pos = 0 } in
+    check_proc p;
+    p
+  with
+  | p -> p
+  | exception Short -> failwith (Printf.sprintf "proc section %s is self-inconsistent" name)
+  | exception Failure reason -> failwith (Printf.sprintf "proc section %s: %s" name reason)
+
 let encode_meta t =
   let b = Buffer.create 256 in
   w_str b t.im_prog;
@@ -458,13 +558,7 @@ let decode data =
                       let procs =
                         List.filter_map
                           (fun (tag, name, payload) ->
-                            if tag <> "PROC" then None
-                            else
-                              try Some (decode_proc { data = payload; pos = 0 })
-                              with Short ->
-                                raise
-                                  (Stdlib.Failure
-                                     (Printf.sprintf "proc section %s is self-inconsistent" name)))
+                            if tag <> "PROC" then None else Some (decode_checked name payload))
                           sections
                       in
                       if List.length procs <> nprocs then
@@ -498,24 +592,26 @@ let decode data =
 (* ------------------------------------------------------------------ *)
 (* Capture *)
 
-let kind_of_string = function
-  | "static" -> Region.Static
-  | "heap" -> Region.Heap
-  | "stack" -> Region.Stack
-  | "lib" -> Region.Lib
-  | "mmap" -> Region.Mmap
-  | s -> invalid_arg ("Image: unknown region kind " ^ s)
+let page_addr base index = Addr.add base (index * Addr.page_size)
 
 let capture_region asp (r : Region.t) =
-  let words = r.Region.size / Addr.word_size in
-  let arr = Array.make words 0 in
-  Aspace.blit_to_array asp r.Region.base arr;
+  let rec pages index acc =
+    if index < 0 then acc
+    else
+      let addr = page_addr r.Region.base index in
+      if Aspace.page_is_zero asp addr then pages (index - 1) acc
+      else begin
+        let words = Array.make Addr.words_per_page 0 in
+        Aspace.blit_to_array asp addr words;
+        pages (index - 1) ((index, words) :: acc)
+      end
+  in
   {
     r_name = r.Region.name;
-    r_kind = Region.kind_to_string r.Region.kind;
+    r_kind = r.Region.kind;
     r_base = r.Region.base;
     r_size = r.Region.size;
-    r_words = arr;
+    r_pages = pages ((r.Region.size / Addr.page_size) - 1) [];
   }
 
 let heap_image_of h =
@@ -619,6 +715,26 @@ type install_report = {
   unmatched_live_procs : int;
 }
 
+(* A listed page is written back; an omitted page is zeroed only if it is
+   not zero already, so a page still on the shared zero frame stays there. *)
+let zero_page = Array.make Addr.words_per_page 0
+
+let install_region asp s =
+  let npages = s.r_size / Addr.page_size in
+  let rec go index pages =
+    if index < npages then
+      let addr = page_addr s.r_base index in
+      match pages with
+      | (i, words) :: rest when i = index ->
+          Aspace.blit_from_array_untracked asp addr words;
+          go (index + 1) rest
+      | _ ->
+          if not (Aspace.page_is_zero asp addr) then
+            Aspace.blit_from_array_untracked asp addr zero_page;
+          go (index + 1) pages
+  in
+  go 0 s.r_pages
+
 (* Reconcile the live address space's region set with the saved one, then
    write back contents and dirty-tracking state. All stores are untracked
    and the write sequence / page stamps / epoch marks are re-installed
@@ -631,10 +747,7 @@ let install_aspace saved asp =
   List.iter
     (fun (r : Region.t) ->
       match Hashtbl.find_opt saved_by_base r.Region.base with
-      | Some s
-        when s.r_size = r.Region.size
-             && s.r_kind = Region.kind_to_string r.Region.kind ->
-          ()
+      | Some s when s.r_size = r.Region.size && s.r_kind = r.Region.kind -> ()
       | _ -> Aspace.unmap asp r.Region.base)
     (Aspace.regions asp);
   (* map regions the live space is missing *)
@@ -648,12 +761,9 @@ let install_aspace saved asp =
   List.iter
     (fun s ->
       if not (Hashtbl.mem live_bases s.r_base) then
-        ignore
-          (Aspace.map asp ~name:s.r_name (Aspace.Fixed s.r_base) ~size:s.r_size
-             (kind_of_string s.r_kind)))
+        ignore (Aspace.map asp ~name:s.r_name (Aspace.Fixed s.r_base) ~size:s.r_size s.r_kind))
     saved.pi_regions;
-  (* contents *)
-  List.iter (fun s -> Aspace.blit_from_array_untracked asp s.r_base s.r_words) saved.pi_regions;
+  List.iter (install_region asp) saved.pi_regions;
   (* dirty-tracking state *)
   Aspace.set_write_seq asp saved.pi_write_seq;
   List.iter
@@ -668,36 +778,71 @@ let install_aspace saved asp =
     saved.pi_pages;
   Aspace.restore_epochs asp saved.pi_epochs
 
+let ( let* ) = Result.bind
+
+let rec iter_result f = function
+  | [] -> Ok ()
+  | x :: xs ->
+      let* () = f x in
+      iter_result f xs
+
 let install_heap saved_opt heap =
-  Heap.refresh heap;
-  match saved_opt with
-  | None -> ()
-  | Some h ->
-      Heap.restore_stats heap ~allocs:h.h_allocs ~frees:h.h_frees ~tag_words:h.h_tag_words
+  let* () = Heap.refresh heap in
+  Option.iter
+    (fun h -> Heap.restore_stats heap ~allocs:h.h_allocs ~frees:h.h_frees ~tag_words:h.h_tag_words)
+    saved_opt;
+  Ok ()
+
+(* The allocator views install rebuilds walk the live heaps' extents, which
+   must therefore be mapped once the saved regions are in place. Checked
+   for every pair before any is touched. *)
+let check_target saved (img : P.image) =
+  let covered h =
+    List.exists
+      (fun s -> Heap.base h >= s.r_base && Heap.limit h - s.r_base <= s.r_size)
+      saved.pi_regions
+  in
+  if covered img.P.i_heap && covered img.P.i_lib_heap then Ok ()
+  else
+    Error
+      (Malformed
+         {
+           section = "proc";
+           reason =
+             Printf.sprintf "process %s: no saved region holds the target's heaps" saved.pi_name;
+         })
 
 let install_proc saved (img : P.image) =
   install_aspace saved img.P.i_aspace;
-  install_heap saved.pi_heap img.P.i_heap;
-  install_heap saved.pi_lib_heap img.P.i_lib_heap;
   (* Pools/slabs: pair by name — a deterministic same-version startup
      creates the same named set, so a mismatch means the restore target is
      not actually running the image's program configuration. *)
   let find_pool name =
     List.find_opt (fun (st : Pool.state) -> st.Pool.st_name = name) saved.pi_pools
   in
-  List.iter
-    (fun (name, pool) ->
-      match find_pool name with
-      | Some st -> Pool.restore_state pool st
-      | None -> ())
-    img.P.i_pools;
-  List.iter
-    (fun (name, slab) ->
-      match List.assoc_opt name saved.pi_slabs with
-      | Some st -> Slab.restore_state slab st
-      | None -> ())
-    img.P.i_slabs;
-  img.P.i_startup_complete <- saved.pi_startup_complete
+  let rebuilt =
+    let* () = install_heap saved.pi_heap img.P.i_heap in
+    let* () = install_heap saved.pi_lib_heap img.P.i_lib_heap in
+    let* () =
+      iter_result
+        (fun (name, pool) ->
+          match find_pool name with Some st -> Pool.restore_state pool st | None -> Ok ())
+        img.P.i_pools
+    in
+    iter_result
+      (fun (name, slab) ->
+        match List.assoc_opt name saved.pi_slabs with
+        | Some st -> Slab.restore_state slab st
+        | None -> Ok ())
+      img.P.i_slabs
+  in
+  match rebuilt with
+  | Ok () ->
+      img.P.i_startup_complete <- saved.pi_startup_complete;
+      Ok ()
+  | Error reason ->
+      let reason = Printf.sprintf "process %s: %s" saved.pi_name reason in
+      Error (Malformed { section = "proc"; reason })
 
 (* Pair saved processes with live ones: roots first, then by creation call
    stack in creation order — the same key Manager uses to pair processes
@@ -736,7 +881,8 @@ let install t ~members =
         Error (Version_mismatch { image = t.im_version_tag; target = live_tag })
       else begin
         let pairs, skipped, unmatched = pair_procs t.im_procs members in
-        List.iter (fun (s, l) -> install_proc s l) pairs;
+        let* () = iter_result (fun (s, l) -> check_target s l) pairs in
+        let* () = iter_result (fun (s, l) -> install_proc s l) pairs in
         let restored = aspace_fingerprint ~prog:t.im_prog (K.aspace root.P.i_proc) in
         if restored <> t.im_fingerprint then
           Error (Fingerprint_mismatch { image = t.im_fingerprint; restored })

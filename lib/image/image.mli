@@ -18,7 +18,10 @@
     v}
 
     where strings are [u64 length | bytes] and all integers are 64-bit
-    little-endian. Sections are identified by a 4-byte ASCII tag ([META],
+    little-endian. Inside a [PROC] payload a region is
+    [name | kind | base | size | u64 n | n × (u64 page_index | 512 words)]:
+    only pages holding a nonzero word are stored, in ascending index
+    order, and every page not stored reads as zero. Sections are identified by a 4-byte ASCII tag ([META],
     [PROC], [POLI], [ATMP], [FLIT]); decoders {e skip} sections whose tag
     they do not know, so later format revisions can add sections without
     bumping {!format_version}. Every decode failure is a typed {!error}
@@ -30,9 +33,11 @@
     the {e same program version} in the target kernel (deterministic
     startup re-creates listeners, threads and the address-space skeleton),
     then installs the image over the settled processes: region sets are
-    reconciled, every word of every saved region is written back
-    untracked, and the exact dirty-tracking state (write sequence, page
-    stamps, named epoch marks, inherited taint) plus allocator state
+    reconciled, every stored page is written back untracked and every
+    other page of a saved region is zeroed (untracked, and only when it
+    is not zero already), and the exact dirty-tracking state (write
+    sequence, page stamps, named epoch marks, inherited taint) plus
+    allocator state
     (in-band heap headers travel with the pages; OCaml-side caches are
     rebuilt by walking them) are re-installed. The result fingerprints
     byte-identically to the saved instance, resumes serving, and
@@ -44,7 +49,7 @@
 module P = Mcr_program.Progdef
 
 val format_version : int
-(** Current on-disk format revision (1). *)
+(** Current on-disk format revision (2). *)
 
 val magic : string
 (** The 8-byte magic, ["MCRIMAGE"]. *)
@@ -64,7 +69,11 @@ type error =
   | Missing_section of string
       (** A required section (e.g. ["meta"]) is absent. *)
   | Malformed of { section : string; reason : string }
-      (** The section's bytes decoded but violate the schema. *)
+      (** The section's bytes decoded but violate the schema: a region
+          shape install cannot honour (non-positive, unaligned,
+          overlapping, past 4 GiB), a page index out of order or range, a
+          page state or pool chunk outside every saved region — or, from
+          install, heap tags or slab shapes the target cannot adopt. *)
   | Program_mismatch of { image : string; target : string }
       (** Restore target runs a different program than the image holds. *)
   | Version_mismatch of { image : string; target : string }
@@ -99,7 +108,8 @@ val proc_count : t -> int
 val region_count : t -> int
 
 val total_words : t -> int
-(** Total words of page content across every saved region and process. *)
+(** Logical words across every saved region and process ([size / 8]
+    summed), stored or not. *)
 
 val policy_text : t -> string option
 (** The saving manager's policy, rendered by [Policy.to_kv] — opaque at
@@ -178,11 +188,14 @@ type install_report = {
 val install : t -> members:P.image list -> (install_report, error) result
 (** Install the image over an already-running, settled instance of the
     same program and version: reconcile each paired process's region set,
-    write back all page contents, re-stamp dirty-tracking state and
-    rebuild allocator views. Processes are paired root-to-root and then by
-    creation call stack in creation order. Fails with
-    {!Program_mismatch} / {!Version_mismatch} before touching anything,
-    and with {!Fingerprint_mismatch} if post-install verification fails. *)
+    write back the stored pages and zero the others, re-stamp
+    dirty-tracking state and rebuild allocator views. Processes are paired
+    root-to-root and then by creation call stack in creation order. Fails
+    with {!Program_mismatch} / {!Version_mismatch}, or {!Malformed} when a
+    target heap lies outside the saved regions, before touching anything;
+    with {!Malformed} when the restored heap tags or slab shapes do not
+    fit the target; and with {!Fingerprint_mismatch} if post-install
+    verification fails. Never raises. *)
 
 val restore :
   t -> launch:(unit -> P.image list) -> (P.image list * install_report, error) result

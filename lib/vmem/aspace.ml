@@ -453,6 +453,12 @@ let restore_page_state t ps =
       p.touched <- ps.ps_touched;
       p.inherited <- ps.ps_inherited
 
+(* A page on the zero frame answers without looking at a word; a private
+   frame is scanned until its first nonzero word. *)
+let page_is_zero t a =
+  let p = page_for t a in
+  p.frame == zero_frame || Array.for_all (fun w -> w = 0) p.frame.words
+
 let epochs t =
   Hashtbl.fold (fun name e acc -> (name, e.mark) :: acc) t.epochs [] |> List.sort compare
 

@@ -219,6 +219,13 @@ val unshare_page : t -> Addr.t -> bool
     pre-copy updates on the restored instance behave exactly as they would
     have on the original. *)
 
+val page_is_zero : t -> Addr.t -> bool
+(** Whether every word of the page containing the address is zero. O(1)
+    for a page still on the shared zero frame, a scan of the page
+    otherwise; never copies a frame or moves a dirty stamp. Checkpoint
+    images omit such pages and restore re-zeroes only the pages that are
+    not. @raise Fault as {!read_word}. *)
+
 type page_state = {
   ps_page : Addr.t;  (** Page base address. *)
   ps_last_write_seq : int;

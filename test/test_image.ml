@@ -15,6 +15,9 @@ module Testbed = Mcr_workloads.Testbed
 module Bench_result = Mcr_workloads.Bench_result
 module Timetravel = Mcr_workloads.Timetravel
 module Fleet = Mcr_fleet.Fleet
+module Aspace = Mcr_vmem.Aspace
+module Addr = Mcr_vmem.Addr
+module Region = Mcr_vmem.Region
 
 let drive kernel pred =
   ignore (K.run_until kernel ~max_ns:(K.clock_ns kernel + 30_000_000_000) pred)
@@ -104,14 +107,15 @@ let test_corruption_goldens () =
   let len = String.length enc in
   check_rejected "flipped magic" Image.Bad_magic (flip enc 0);
   check_rejected "empty file" (Image.Truncated { section = "header" }) "";
+  let v = Image.format_version in
   check_rejected "bumped format version"
-    (Image.Version_skew { found = 2; expected = 1 })
-    (set_byte enc 8 2);
+    (Image.Version_skew { found = v + 1; expected = v })
+    (set_byte enc 8 (v + 1));
   (* version skew outranks every hash: a future-format image is reported
      as such even though its trailer no longer matches *)
   check_rejected "version skew beats hash check"
-    (Image.Version_skew { found = 3; expected = 1 })
-    (set_byte (flip enc 56) 8 3);
+    (Image.Version_skew { found = v + 2; expected = v })
+    (set_byte (flip enc 56) 8 (v + 2));
   check_rejected "chopped trailer"
     (Image.Truncated { section = "trailer" })
     (String.sub enc 0 (len - 1));
@@ -157,7 +161,7 @@ let test_unknown_section_skipped () =
    bytes remaining, so no sum or product can wrap negative and slip a
    huge length past them into String.sub / Array.init. *)
 let test_oversized_lengths () =
-  let header count = "MCRIMAGE" ^ u64_le 1 ^ u64_le count in
+  let header count = "MCRIMAGE" ^ u64_le Image.format_version ^ u64_le count in
   let section tag name payload =
     tag ^ w_str name ^ w_str payload ^ u64_le (Fnv.string payload)
   in
@@ -165,17 +169,20 @@ let test_oversized_lengths () =
   check_rejected "section name of max_int bytes"
     (Image.Truncated { section = "META" })
     (header 1 ^ "META" ^ u64_le max_int ^ "xx");
-  (* 8 * n wraps negative for this word count; one word is present, so
-     only the bounds check stands between it and Array.init *)
+  (* a page record is 8 x 513 bytes, and that product wraps negative for
+     this page count; one field is present, so only the bounds check stands
+     between it and List.init *)
   let region =
-    w_str "r" ^ w_str "static" ^ u64_le 0 ^ u64_le 0 ^ u64_le ((max_int / 8) + 2) ^ u64_le 0
+    w_str "r" ^ w_str "static" ^ u64_le 4096 ^ u64_le 4096
+    ^ u64_le ((max_int / (8 * 513)) + 2)
+    ^ u64_le 0
   in
   let proc =
     u64_le 1 ^ w_str "p" ^ u64_le 0 ^ u64_le 1 ^ u64_le 0 ^ u64_le 0
     ^ u64_le 0 (* no fds *) ^ u64_le 1 (* one region *) ^ region
   in
   let meta = w_str "prog" ^ w_str "v1" ^ u64_le 0 ^ u64_le 0 ^ u64_le 1 in
-  check_rejected "region word count past the payload"
+  check_rejected "region page count past the payload"
     (Image.Malformed { section = "proc"; reason = "proc section p0 is self-inconsistent" })
     (sealed (header 2 ^ section "META" "meta" meta ^ section "PROC" "p0" proc))
 
@@ -228,25 +235,57 @@ let fuzz_corpus =
              let sections = split_sections enc in
              if seal ~count:(List.length sections) sections <> enc then
                failwith "fuzz corpus: section split does not re-seal to the encoding";
-             (Testbed.name server, enc, Array.of_list sections))
+             (server, enc, Array.of_list sections))
        Testbed.all)
 
 (* Encoder golden: the MD5 of every server's [encode] output, pinned so a
    codec rewrite that claims byte-identical output has to show it. *)
 let encode_goldens =
   [
-    ("Apache httpd", "f0713e0ff6f19a39de80be02be0e472e");
-    ("nginx", "d600907d29cac96502470b69a8a69c38");
-    ("vsftpd", "7cd6c57773b82867bae96314685ed2c5");
-    ("OpenSSH", "810b3df96793bdcc0becb04dce505a86");
+    ("Apache httpd", "01e95a9b776983b8a09f7f4ffbdb9e8b");
+    ("nginx", "21c100860d8c5e6c2de69733f6f5142e");
+    ("vsftpd", "095959bc85a13eca8ec0aa6d771f2e36");
+    ("OpenSSH", "821d1018c033e81fac18ae4e4b55325a");
   ]
 
 let test_encode_golden () =
   Alcotest.(check (list (pair string string)))
     "per-server encoding digests" encode_goldens
     (List.map
-       (fun (name, enc, _) -> (name, Digest.to_hex (Digest.string enc)))
+       (fun (server, enc, _) -> (Testbed.name server, Digest.to_hex (Digest.string enc)))
        (Lazy.force fuzz_corpus))
+
+(* Fingerprint golden: [Image.fingerprint] of the same images, as the dense
+   v1 code computed it. The encodings above changed with the sparse format;
+   the fingerprint, the witness every restore is checked against, must
+   not. *)
+let fingerprint_goldens =
+  [
+    ("Apache httpd", 1275484607942099102);
+    ("nginx", 369589433702249752);
+    ("vsftpd", 4302084222797450735);
+    ("OpenSSH", 3260854520958018513);
+  ]
+
+let test_fingerprint_golden () =
+  Alcotest.(check (list (pair string int)))
+    "per-server fingerprints" fingerprint_goldens
+    (List.map
+       (fun (server, enc, _) ->
+         match Image.decode enc with
+         | Ok img -> (Testbed.name server, Image.fingerprint img)
+         | Error e -> Alcotest.fail (Image.error_to_string e))
+       (Lazy.force fuzz_corpus))
+
+let corpus_encoding server =
+  let _, enc, _ = List.find (fun (s, _, _) -> s = server) (Lazy.force fuzz_corpus) in
+  enc
+
+(* v2 stores each region sparsely; there is no v1 reader, so a v1 file is
+   refused by its header before any section is parsed. *)
+let test_v1_refused () =
+  check_rejected "v1 header" (Image.Version_skew { found = 1; expected = 2 })
+    (set_byte (corpus_encoding Testbed.Httpd) 8 1)
 
 (* Every integer field is 8 little-endian bytes carrying the 63 bits of an
    OCaml int: byte 7's top bit is written clear and ignored on read. A
@@ -356,6 +395,8 @@ let apply_mutation enc sections = function
       seal ~count:(Array.length sections) (Array.to_list sections)
   | Section_count n -> seal ~count:n (Array.to_list sections)
 
+(* A mutant that decodes is restored over a fresh instance of its server:
+   restore too must return [Ok] or a typed error, never raise. *)
 let prop_decode_total =
   QCheck.Test.make ~name:"decode is total on mutated images" ~count:300
     (QCheck.make
@@ -363,12 +404,316 @@ let prop_decode_total =
        QCheck.Gen.(pair nat gen_mutation))
     (fun (k, m) ->
       let corpus = Lazy.force fuzz_corpus in
-      let name, enc, sections = List.nth corpus (k mod List.length corpus) in
+      let server, enc, sections = List.nth corpus (k mod List.length corpus) in
+      let raised stage e =
+        QCheck.Test.fail_reportf "%s image, %s: %s raised %s" (Testbed.name server)
+          (pp_mutation m) stage (Printexc.to_string e)
+      in
       match Image.decode (apply_mutation enc sections m) with
-      | Ok _ | Error _ -> true
-      | exception e ->
-          QCheck.Test.fail_reportf "%s image, %s: decode raised %s" name (pp_mutation m)
-            (Printexc.to_string e))
+      | Error _ -> true
+      | Ok img -> (
+          let target = Testbed.launch (K.create ()) server in
+          match Manager.restore_image target img with
+          | Ok _ | Error _ -> true
+          | exception e -> raised "restore" e)
+      | exception e -> raised "decode" e)
+
+(* {1 Region shapes}
+
+   Every region, page record, page state and pool chunk of a PROC section
+   is checked against the rules install relies on, so a re-sealed image
+   whose fields are consistent with its hashes but not with each other is
+   refused by [decode] as [Malformed] before any restore sees it. *)
+
+type field_cursor = { payload : string; mutable at : int }
+
+let next_u64 c =
+  let v = Int64.to_int (String.get_int64_le c.payload c.at) in
+  c.at <- c.at + 8;
+  v
+
+let skip_str c = c.at <- c.at + next_u64 c
+
+let skip_list c f =
+  for _ = 1 to next_u64 c do
+    f c
+  done
+
+type region_fields = {
+  kind_at : int;  (* the kind string's bytes *)
+  kind_len : int;
+  base_at : int;
+  size_at : int;
+  r_base : int;
+  r_size : int;
+  page_index_at : int list;  (* one per page record, in order *)
+}
+
+(* Field offsets of a PROC payload, read in [Image.encode]'s order: the
+   regions, the first page state, and the first pool chunk. *)
+let proc_fields payload =
+  let c = { payload; at = 0 } in
+  ignore (next_u64 c);
+  (* pid *)
+  skip_str c;
+  c.at <- c.at + 32;
+  (* creation call stack, startup flag, layout bias, write sequence *)
+  skip_list c (fun c -> ignore (next_u64 c));
+  let regions =
+    List.init (next_u64 c) (fun _ ->
+        skip_str c;
+        let kind_len = next_u64 c in
+        let kind_at = c.at in
+        c.at <- c.at + kind_len;
+        let base_at = c.at in
+        let r_base = next_u64 c in
+        let size_at = c.at in
+        let r_size = next_u64 c in
+        let page_index_at =
+          List.init (next_u64 c) (fun _ ->
+              let at = c.at in
+              c.at <- c.at + (8 * 513);
+              at)
+        in
+        { kind_at; kind_len; base_at; size_at; r_base; r_size; page_index_at })
+  in
+  let first_page_state_at = c.at + 8 in
+  skip_list c (fun c -> c.at <- c.at + 32);
+  skip_list c (fun c ->
+      skip_str c;
+      ignore (next_u64 c));
+  (* epochs *)
+  skip_list c (fun c ->
+      ignore (next_u64 c);
+      skip_str c;
+      skip_list c skip_str;
+      if next_u64 c <> 0 then skip_str c);
+  (* threads *)
+  for _ = 1 to 2 do
+    if next_u64 c <> 0 then c.at <- c.at + 48
+  done;
+  (* heap and library heap; then the first pool's first chunk *)
+  if next_u64 c = 0 then Alcotest.fail "process has no pool";
+  skip_str c;
+  c.at <- c.at + 40;
+  if next_u64 c = 0 then Alcotest.fail "first pool has no chunk";
+  let first_chunk_at = c.at in
+  (regions, first_page_state_at, first_chunk_at)
+
+let rewrite payload at v =
+  let b = Bytes.of_string payload in
+  Bytes.set_int64_le b at (Int64.of_int v);
+  Bytes.to_string b
+
+let test_region_shapes_refused () =
+  let sections = Array.of_list (split_sections (corpus_encoding Testbed.Httpd)) in
+  let proc_index =
+    let rec find i = if (fun (tag, _, _) -> tag) sections.(i) = "PROC" then i else find (i + 1) in
+    find 0
+  in
+  let tag, name, payload = sections.(proc_index) in
+  let regions, page_state_at, chunk_at = proc_fields payload in
+  let resealed label payload' =
+    let sections = Array.copy sections in
+    sections.(proc_index) <- (tag, name, payload');
+    (label, seal ~count:(Array.length sections) (Array.to_list sections))
+  in
+  let first = List.hd regions and second = List.nth regions 1 in
+  let paged = List.find (fun r -> List.length r.page_index_at >= 2) regions in
+  let cases =
+    [
+      (* the probe that made install raise Invalid_argument from Aspace.map *)
+      resealed "zero-size region" (rewrite payload first.size_at 0);
+      resealed "negative size" (rewrite payload first.size_at (-4096));
+      resealed "size not whole pages" (rewrite payload first.size_at (first.r_size + 8));
+      resealed "size past the end of the address range"
+        (rewrite payload first.size_at (max_int - 4095));
+      resealed "region past 4 GiB" (rewrite payload first.size_at (1 lsl 32));
+      resealed "base not page-aligned" (rewrite payload first.base_at (first.r_base + 8));
+      resealed "base at null" (rewrite payload first.base_at 0);
+      resealed "overlapping regions" (rewrite payload second.base_at first.r_base);
+      resealed "unknown kind"
+        (String.mapi
+           (fun i ch ->
+             if i >= first.kind_at && i < first.kind_at + first.kind_len then 'x' else ch)
+           payload);
+      resealed "page index past the region"
+        (rewrite payload (List.hd paged.page_index_at) (paged.r_size / 4096));
+      resealed "page index repeated"
+        (rewrite payload (List.nth paged.page_index_at 1)
+           (Int64.to_int (String.get_int64_le payload (List.hd paged.page_index_at))));
+      resealed "page state outside every region" (rewrite payload page_state_at 4096);
+      resealed "pool chunk outside every region" (rewrite payload chunk_at 4096);
+    ]
+  in
+  List.iter
+    (fun (label, data) ->
+      match Image.decode data with
+      | Error (Image.Malformed { section = "proc"; reason }) ->
+          Alcotest.(check bool) (label ^ ": reason names the section " ^ reason) true
+            (contains reason name)
+      | Error e -> Alcotest.failf "%s: %s" label (Image.error_to_string e)
+      | Ok _ -> Alcotest.failf "%s: decoded" label)
+    cases
+
+(* Heap tags travel as page contents, so a re-sealed image can carry a
+   block header without the allocator's magic. Restore rebuilds the heap's
+   view by walking those tags and must refuse with a typed error. *)
+let test_corrupt_heap_tags_refused () =
+  let sections = split_sections (corpus_encoding Testbed.Httpd) in
+  let sections =
+    List.map
+      (fun ((tag, name, payload) as section) ->
+        if name <> "proc.0" then section
+        else
+          let regions, _, _ = proc_fields payload in
+          let heap =
+            List.find (fun r -> String.sub payload r.kind_at r.kind_len = "heap") regions
+          in
+          (* the heap's first word, in its first page record, is a block header *)
+          (tag, name, rewrite payload (List.hd heap.page_index_at + 8) 0))
+      sections
+  in
+  match Image.decode (seal ~count:(List.length sections) sections) with
+  | Error e -> Alcotest.fail (Image.error_to_string e)
+  | Ok img -> (
+      let target = Testbed.launch (K.create ()) Testbed.Httpd in
+      match Manager.restore_image target img with
+      | Ok _ -> Alcotest.fail "restored over corrupt heap tags"
+      | Error e ->
+          Alcotest.(check bool) ("typed error: " ^ e) true (contains e "corrupted block header"))
+
+(* {1 Sparse pages}
+
+   An image stores only the pages holding a nonzero word; every other page
+   of a saved region reads as zero. *)
+
+let page_addrs asp =
+  List.concat_map
+    (fun (r : Region.t) ->
+      List.init (r.Region.size / Addr.page_size) (fun i ->
+          Addr.add r.Region.base (i * Addr.page_size)))
+    (Aspace.regions asp)
+
+let nonzero_pages asp =
+  List.length (List.filter (fun a -> not (Aspace.page_is_zero asp a)) (page_addrs asp))
+
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+(* Every byte of an image that is neither a page record (8 x 513 bytes) nor
+   a page state (32 bytes): the section framing, names, threads, heaps,
+   pools and slabs. 0.6 to 2.4 KiB per process on the four servers. *)
+let framing_budget_per_proc = 4096
+
+let test_sparse_roundtrip () =
+  List.iter
+    (fun server ->
+      let label what = Printf.sprintf "%s: %s" (Testbed.name server) what in
+      let kernel = K.create () in
+      let m = Testbed.launch kernel server in
+      ignore (Testbed.benchmark kernel server ~scale:2_000 ());
+      let path = tmp_image "sparse" in
+      let img =
+        match Manager.save_image m ~path with Error e -> Alcotest.fail e | Ok img -> img
+      in
+      let spaces = List.map (fun im -> im.P.i_aspace) (Manager.images m) in
+      let root = K.aspace (Manager.root_proc m) in
+      let bytes = read_bytes path in
+      let on_disk =
+        match Image.read ~path with
+        | Ok i -> i
+        | Error e -> Alcotest.fail (Image.error_to_string e)
+      in
+      Alcotest.(check bool) (label "re-encode is byte-identical") true
+        (Image.encode on_disk = bytes);
+      let pages = List.fold_left (fun n a -> n + nonzero_pages a) 0 spaces in
+      let states = List.fold_left (fun n a -> n + List.length (Aspace.page_states a)) 0 spaces in
+      let bound =
+        (framing_budget_per_proc * Image.proc_count img) + (8 * 513 * pages) + (32 * states)
+      in
+      Alcotest.(check bool)
+        (label
+           (Printf.sprintf "%d bytes <= %d (%d nonzero pages)" (String.length bytes) bound pages))
+        true (String.length bytes <= bound);
+      Alcotest.(check int) (label "logical words") (Image.total_words img)
+        (List.fold_left
+           (fun n a -> n + (List.length (page_addrs a) * Addr.words_per_page))
+           0 spaces);
+      match Timetravel.restore on_disk with
+      | Error e -> Alcotest.fail e
+      | Ok (_k2, m2, _) ->
+          let root' = K.aspace (Manager.root_proc m2) in
+          Alcotest.(check int) (label "fingerprint") (Image.fingerprint img)
+            (Image.aspace_fingerprint ~prog:(Image.prog img) root');
+          Alcotest.(check bool) (label "page states") true
+            (Aspace.page_states root = Aspace.page_states root');
+          Alcotest.(check int) (label "write sequence") (Aspace.write_seq root)
+            (Aspace.write_seq root');
+          Alcotest.(check (list (pair string int))) (label "epochs") (Aspace.epochs root)
+            (Aspace.epochs root'))
+    Testbed.all
+
+(* Restoring the image of a just-launched instance over the same instance
+   after it served load: every page the load dirtied and the image omits
+   has to be zeroed again. nginx is the server whose load writes pages its
+   launch left zero (its worker's cycle pool grows with every connection);
+   the others serve this load from pages they had already written. *)
+let test_restore_zeroes_omitted_pages () =
+  let server = Testbed.Nginx in
+  let kernel = K.create () in
+  let m = Testbed.launch kernel server in
+  let img =
+    match Manager.save_image m ~path:(tmp_image "early") with
+    | Error e -> Alcotest.fail e
+    | Ok img -> img
+  in
+  let spaces = List.map (fun im -> im.P.i_aspace) (Manager.images m) in
+  let zero_at_save =
+    List.map (fun asp -> (asp, List.filter (Aspace.page_is_zero asp) (page_addrs asp))) spaces
+  in
+  ignore (Testbed.benchmark kernel server ~scale:2_000 ());
+  let dirtied =
+    List.concat_map
+      (fun (asp, pages) ->
+        List.filter_map (fun a -> if Aspace.page_is_zero asp a then None else Some (asp, a)) pages)
+      zero_at_save
+  in
+  Alcotest.(check bool) "load left nonzero words in omitted pages" true (dirtied <> []);
+  (match Manager.restore_image m img with
+  | Error e -> Alcotest.fail e
+  | Ok _ -> ());
+  Alcotest.(check int) "fingerprint" (Image.fingerprint img)
+    (Image.aspace_fingerprint ~prog:(Image.prog img) (K.aspace (Manager.root_proc m)));
+  Alcotest.(check bool) "omitted pages zeroed" true
+    (List.for_all (fun (asp, a) -> Aspace.page_is_zero asp a) dirtied)
+
+(* Install copies no frame for a page the image omits when the target page
+   is still on the shared zero frame. *)
+let test_restore_keeps_zero_frame () =
+  let untouched = Aspace.create () in
+  let zero = Aspace.map untouched (Aspace.Near Region.Heap) ~size:Addr.page_size Region.Heap in
+  let on_zero_frame asp a = Aspace.same_frame asp a untouched zero in
+  List.iter
+    (fun server ->
+      let label what = Printf.sprintf "%s: %s" (Testbed.name server) what in
+      let _k, m, _path, img = loaded_save server "zero_frame" in
+      let saved = K.aspace (Manager.root_proc m) in
+      let k2 = K.create () in
+      let m2 = Testbed.launch k2 server in
+      let target = K.aspace (Manager.root_proc m2) in
+      let kept =
+        List.filter
+          (fun a ->
+            Aspace.is_mapped_word saved a && Aspace.page_is_zero saved a && on_zero_frame target a)
+          (page_addrs target)
+      in
+      Alcotest.(check bool) (label "pages to keep") true (List.length kept > 0);
+      (match Image.install img ~members:(Manager.images m2) with
+      | Error e -> Alcotest.fail (Image.error_to_string e)
+      | Ok _ -> ());
+      Alcotest.(check int) (label "still on the zero frame") (List.length kept)
+        (List.length (List.filter (on_zero_frame target) kept)))
+    Testbed.all
 
 (* {1 Restart-from-file} *)
 
@@ -685,6 +1030,9 @@ let () =
           Alcotest.test_case "unknown section skipped" `Quick test_unknown_section_skipped;
           Alcotest.test_case "oversized length fields" `Quick test_oversized_lengths;
           Alcotest.test_case "encode golden per server" `Quick test_encode_golden;
+          Alcotest.test_case "fingerprint golden per server" `Quick test_fingerprint_golden;
+          Alcotest.test_case "v1 image refused" `Quick test_v1_refused;
+          Alcotest.test_case "region shapes refused" `Quick test_region_shapes_refused;
           Alcotest.test_case "u64 field round-trips" `Quick test_u64_field_roundtrip;
           QCheck_alcotest.to_alcotest prop_decode_total;
         ] );
@@ -695,6 +1043,11 @@ let () =
           Alcotest.test_case "wrong program refused" `Quick
             test_install_refuses_wrong_program;
           QCheck_alcotest.to_alcotest prop_save_restore_identity;
+          Alcotest.test_case "sparse round-trip per server" `Quick test_sparse_roundtrip;
+          Alcotest.test_case "omitted pages zeroed over a loaded instance" `Quick
+            test_restore_zeroes_omitted_pages;
+          Alcotest.test_case "zero-frame pages stay shared" `Quick test_restore_keeps_zero_frame;
+          Alcotest.test_case "corrupt heap tags refused" `Quick test_corrupt_heap_tags_refused;
         ] );
       ( "ctl",
         [

@@ -190,6 +190,26 @@ let test_map_is_demand_zero () =
   Alcotest.(check int) "one write per word" 4 (Aspace.write_seq a);
   Alcotest.(check int) "touched pages" (2 * 4096) (Aspace.touched_bytes a)
 
+let test_page_is_zero () =
+  let a = Aspace.create () and b = Aspace.create () in
+  let pa = Aspace.map a (Aspace.Fixed 0x10000) ~size:4096 Region.Heap in
+  let pb = Aspace.map b (Aspace.Fixed 0x20000) ~size:4096 Region.Heap in
+  Alcotest.(check bool) "a demand-zero page is zero" true (Aspace.page_is_zero a pa);
+  Alcotest.(check bool) "asking copies no frame" true (Aspace.same_frame a pa b pb);
+  Alcotest.(check int) "nor moves the write sequence" 0 (Aspace.write_seq a);
+  let last = Addr.add_words pa (Addr.words_per_page - 1) in
+  Aspace.write_word a last 5;
+  Alcotest.(check bool) "one nonzero word, at the end of the page" false
+    (Aspace.page_is_zero a (Addr.add_words pa 3));
+  Aspace.write_word a last 0;
+  Alcotest.(check bool) "a private frame of zeros is zero" true (Aspace.page_is_zero a pa);
+  let child = Aspace.clone a in
+  Aspace.write_word a pa 1;
+  Alcotest.(check bool) "the writer's page" false (Aspace.page_is_zero a pa);
+  Alcotest.(check bool) "the fork child's page" true (Aspace.page_is_zero child pa);
+  Alcotest.check_raises "unmapped page faults" (Aspace.Fault 0x30000) (fun () ->
+      ignore (Aspace.page_is_zero a 0x30000))
+
 let test_copy_words_across_spaces () =
   let a = Aspace.create () in
   let b = Aspace.create () in
@@ -716,6 +736,7 @@ let () =
           qt prop_fork_isolation;
           qt prop_fill_words_is_write_loop;
           Alcotest.test_case "map is demand-zero" `Quick test_map_is_demand_zero;
+          Alcotest.test_case "page_is_zero" `Quick test_page_is_zero;
           Alcotest.test_case "copy words across spaces" `Quick test_copy_words_across_spaces;
           Alcotest.test_case "resident bytes" `Quick test_resident_bytes;
         ] );
